@@ -641,7 +641,7 @@ class RedshiftService:
     def _read_table_rows(cluster: Cluster, table_name: str):
         """All visible rows of a table (resize source is read-only)."""
         from repro.distribution.diststyle import DistStyle
-        from repro.exec.scan import scan_shard
+        from repro.exec.scan import scan_rows
 
         info = cluster.catalog.table(table_name)
         snapshot = cluster.transactions.snapshot_latest()
@@ -650,7 +650,7 @@ class RedshiftService:
             if not store.has_shard(table_name):
                 continue
             rows.extend(
-                scan_shard(
+                scan_rows(
                     store.shard(table_name), info.column_names, [], snapshot
                 )
             )

@@ -79,11 +79,6 @@ class Cluster:
     #: with ``SET enable_result_cache``; benchmarks flip it off so
     #: repeated queries measure execution, not cache lookups.
     enable_result_cache_default = True
-    #: Default for new sessions' ``enable_spill``: memory-governed
-    #: queries spill to accounted temp files instead of growing without
-    #: bound. (A session with no effective memory limit runs unbounded
-    #: either way.)
-    enable_spill_default = True
     #: Default for new sessions' ``enable_encoded_scan``: vectorized
     #: scans operate on compressed blocks directly (dict-code masks, RLE
     #: folds, late materialization) where the codec supports it. Off

@@ -6,9 +6,11 @@ repeat queries over unchanged data should not pay execution again. An
 entry stores the finished row set of one SELECT keyed on
 
 - the normalized SQL text of the (subquery-expanded) query,
-- the bound physical plan's EXPLAIN rendering (plan signature — two
-  textually equal queries planned differently, e.g. after ANALYZE moved
-  statistics, do not share an entry), and
+- the bound physical plan's EXPLAIN rendering minus its ``rows=``
+  estimates (plan signature — two textually equal queries planned
+  differently, e.g. after ANALYZE moved statistics, do not share an
+  entry; estimates are left out because every write moves them, and a
+  stale entry must be found again to be reclaimed), and
 - the executor kind (a hit must be bit-identical to what *that*
   executor would recompute; parallel float aggregation may legally
   re-associate).
@@ -39,6 +41,7 @@ experiment.
 from __future__ import annotations
 
 import hashlib
+import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -53,12 +56,16 @@ DEFAULT_CAPACITY = 256
 DEFAULT_MAX_ROWS = 100_000
 
 
-def result_cache_key(sql: str, plan_signature: str, executor: str) -> str:
-    """The cache key of one (query, plan, executor) combination."""
+_ROW_ESTIMATE = re.compile(r"\(rows=\S+ ")
+
+
+def result_cache_key(sql: str, plan_text: str, executor: str) -> str:
+    """The cache key of one (query, plan, executor) combination;
+    *plan_text* is the plan's ``explain()`` rendering."""
     digest = hashlib.sha256()
     digest.update(sql.encode())
     digest.update(b"\x00")
-    digest.update(plan_signature.encode())
+    digest.update(_ROW_ESTIMATE.sub("(", plan_text).encode())
     digest.update(b"\x00")
     digest.update(executor.encode())
     return digest.hexdigest()

@@ -161,9 +161,6 @@ class Session:
         #: and the admitting WLM queue's per-slot share (or runs
         #: unbounded when neither is configured).
         self._memory_limit = memory_limit
-        #: ``SET enable_spill``: off pins the pre-governor behaviour
-        #: (unbounded operator memory, never spills).
-        self._enable_spill = bool(getattr(cluster, "enable_spill_default", True))
         #: ``SET enable_encoded_scan``: off forces vectorized scans to
         #: decode every block up front (the pre-operate-on-compressed
         #: behaviour) instead of handing encoded columns to the kernels.
@@ -393,17 +390,6 @@ class Session:
                 )
             self._memory_limit = limit
             return QueryResult(command="SET")
-        if name == "enable_spill":
-            value = str(statement.value).lower()
-            if value in ("on", "true", "1"):
-                self._enable_spill = True
-            elif value in ("off", "false", "0"):
-                self._enable_spill = False
-            else:
-                raise AnalysisError(
-                    f"enable_spill expects on/off, got {statement.value!r}"
-                )
-            return QueryResult(command="SET")
         if name == "enable_encoded_scan":
             value = str(statement.value).lower()
             if value in ("on", "true", "1"):
@@ -446,13 +432,10 @@ class Session:
     def effective_memory_limit(self) -> int | None:
         """The per-query operator-memory cap in bytes, or None (unbounded).
 
-        Resolution order: ``SET enable_spill = off`` disables governance
-        outright; an explicit session limit (``SET query_memory_limit`` /
+        An explicit session limit (``SET query_memory_limit`` /
         ``connect(memory_limit=...)``) wins; otherwise the cluster's
         memory pool priced by the admitting WLM queue's per-slot share.
         """
-        if not self._enable_spill:
-            return None
         if self._memory_limit is not None:
             return self._memory_limit
         pool = getattr(self._cluster, "memory_bytes", None)
@@ -534,6 +517,7 @@ class Session:
         # validate against.
         result_cache = self._cluster.result_cache
         cache_key: str | None = None
+        plan_text = explain(physical)
         sql_text = ""
         scan_tables: tuple[str, ...] = ()
         owns_flight = False
@@ -548,18 +532,18 @@ class Session:
             sql_text = query.to_sql()
             scan_tables = self._user_scan_tables(physical)
             cache_key = result_cache_key(
-                sql_text, explain(physical), self._executor_kind
+                sql_text, plan_text, self._executor_kind
             )
             # Single-flight: N concurrent sessions missing on the same
             # key execute once — one leads, the rest wait here and are
             # served the entry the leader stored.
             entry, owns_flight = result_cache.lead_or_wait(cache_key)
             if entry is not None:
-                return self._serve_cached(entry, physical, top_level)
+                return self._serve_cached(entry, plan_text, top_level)
         try:
             return self._execute_select(
-                query, xid, top_level, physical, columns, system_rows,
-                result_cache, cache_key, sql_text, scan_tables,
+                query, xid, top_level, physical, plan_text, columns,
+                system_rows, result_cache, cache_key, sql_text, scan_tables,
             )
         finally:
             # Wake the waiters no matter how the execution ended; a
@@ -573,6 +557,7 @@ class Session:
         xid: int,
         top_level: bool,
         physical,
+        plan_text: str,
         columns: list[str],
         system_rows: dict[str, list[tuple]],
         result_cache,
@@ -607,7 +592,7 @@ class Session:
                 )
             ctx.system_rows = system_rows
             ctx.stats.executor = self._executor_kind
-            ctx.stats.plan_text = explain(physical)
+            ctx.stats.plan_text = plan_text
             ctx.stats.segment_retries = retries
             executor = _EXECUTORS[self._executor_kind](ctx)
             start = time.perf_counter()
@@ -676,14 +661,16 @@ class Session:
             ),
         )
 
-    def _serve_cached(self, entry, physical, top_level: bool) -> QueryResult:
+    def _serve_cached(
+        self, entry, plan_text: str, top_level: bool
+    ) -> QueryResult:
         """Answer a SELECT from the result cache: no execution, and no
         WLM admission — the gate records a bypass instead."""
         from repro.exec.context import OperatorStat
 
         stats = QueryStats()
         stats.executor = entry.executor
-        stats.plan_text = explain(physical)
+        stats.plan_text = plan_text
         stats.result_cache_hit = True
         stats.result_cache_status = "hit"
         rows = list(entry.rows)

@@ -1,17 +1,23 @@
-"""Block-aligned shard scans with zone-map skipping and MVCC visibility.
+"""The block cursor: the one way executors reach shard storage.
 
 All chains of a shard are appended in lockstep with the same block
-capacity, so block *k* covers the same row offsets in every column. A
-scan therefore consults the zone maps of the predicate columns per block,
-and either skips the block in every needed chain or reads it from every
-needed chain — row alignment across columns is preserved by construction.
+capacity, so block *k* covers the same row offsets in every column.
+:func:`scan_blocks` therefore consults the zone maps of the predicate
+columns per block, and either skips the block in every needed chain or
+reads it from every needed chain — row alignment across columns is
+preserved by construction. Pruning, MVCC visibility, IO accounting and
+the read decision (decode cache, still-encoded, decode) live in that one
+loop; :func:`scan_rows` and :func:`scan_batches` only reshape what it
+yields.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterator, Sequence
 
 from repro.engine.transactions import Snapshot
+from repro.exec.batch import ColumnBatch
 from repro.exec.encoded import (
     ENC_BLOCKS,
     ENC_BYTES_AVOIDED,
@@ -21,329 +27,98 @@ from repro.exec.encoded import (
     supports_block,
 )
 from repro.storage.chain import ScanStats
-from repro.storage.disk import SimulatedDisk
 from repro.storage.slicestore import TableShard
 
 
-def scan_shard(
+def scan_blocks(
     shard: TableShard,
     column_names: Sequence[str | None],
     zone_predicates: Sequence[tuple[int, str, object]],
     snapshot: Snapshot,
+    *,
+    block_start: int = 0,
+    block_end: int | None = None,
+    include_tail: bool = True,
     stats: ScanStats | None = None,
-    disk: SimulatedDisk | None = None,
-) -> Iterator[tuple]:
-    """Yield visible rows (tuples of the named columns) from one shard.
+    charge: Callable[[int], None] | None = None,
+    block_cache=None,
+    encoded: bool = False,
+) -> Iterator[tuple[list, list[int] | None, int]]:
+    """Yield ``(columns, selection, count)`` per surviving row block.
 
-    A ``None`` entry in *column_names* is a dead column: its chain is
-    never read and its tuple slot holds None — this is the projection
-    pushdown a columnar engine exists for (only live chains cost IO).
+    ``columns[i]`` is the block's vector for ``column_names[i]``. A
+    ``None`` name is a dead column: its chain is never read and its slot
+    stays None — the projection pushdown a columnar engine exists for
+    (only live chains cost IO). ``selection`` is None when all ``count``
+    rows are visible to *snapshot*, else the sorted positions that are;
+    blocks with no visible row are not yielded. Vectors are shared with
+    the decode cache — callers must not mutate them.
 
     ``zone_predicates`` hold (index into *column_names*, op, literal); a
     block is skipped when any predicate's zone map proves it empty of
     matches. Skipping is conservative — surviving rows are re-checked by
     the caller's filters. Predicate columns must be live.
 
-    Stats count logical row blocks once each (``blocks_total`` /
-    ``blocks_read`` / ``blocks_skipped``); the per-column chain-block
-    reads are ``chains_read``.
-    """
-    width = len(column_names)
-    if width == 0:
-        return
-    live = [
-        (position, shard.chain(name))
-        for position, name in enumerate(column_names)
-        if name is not None
-    ]
-    insert_xids = shard.insert_xids
-    delete_xids = shard.delete_xids
+    The scan covers sealed blocks [*block_start*, *block_end*) and, with
+    *include_tail*, the open tail buffers (rows loaded but not yet
+    sealed). Concatenating the ranges of a partition of the shard's
+    blocks (exactly one range carrying the tail) reproduces the full scan
+    row-for-row and stat-for-stat — the parallel executor's morsels.
 
-    if not live:
-        # Pure row-count scans (e.g. unfiltered COUNT(*)): no chain IO,
-        # rows synthesized from visibility metadata alone.
-        empty = (None,) * width
-        for offset in range(shard.row_count):
-            if snapshot.can_see(insert_xids[offset], delete_xids[offset]):
-                yield empty
-        return
-
-    live_positions = {position: i for i, (position, _) in enumerate(live)}
-    blocks_per_chain = [chain.blocks for _, chain in live]
-    block_count = len(blocks_per_chain[0])
-
-    offset = 0
-    for k in range(block_count):
-        row_count = blocks_per_chain[0][k].count
-        skip = False
-        for col_pos, op, literal in zone_predicates:
-            chain_index = live_positions[col_pos]
-            if not blocks_per_chain[chain_index][k].zone_map.might_satisfy(
-                op, literal
-            ):
-                skip = True
-                break
-        if stats is not None:
-            stats.blocks_total += 1
-            if skip:
-                stats.blocks_skipped += 1
-            else:
-                stats.blocks_read += 1
-        if skip:
-            offset += row_count
-            continue
-        row_template: list = [None] * width
-        columns = []
-        for chain_blocks in blocks_per_chain:
-            block = chain_blocks[k]
-            if stats is not None:
-                stats.chains_read += 1
-                stats.bytes_read += block.encoded_bytes
-                stats.values_read += block.count
-            if disk is not None:
-                disk.record_read(block.encoded_bytes)
-            columns.append(block.read())
-        # Fast path: when every row in the block is visible (no tombstones,
-        # all inserters visible), emit rows in bulk.
-        end = offset + row_count
-        fully_visible = _block_fully_visible(
-            insert_xids, delete_xids, offset, end, snapshot
-        )
-        if len(live) == width and fully_visible:
-            yield from zip(*columns)
-        else:
-            positions = [position for position, _ in live]
-            for i in range(row_count):
-                row_offset = offset + i
-                if fully_visible or snapshot.can_see(
-                    insert_xids[row_offset], delete_xids[row_offset]
-                ):
-                    row = row_template.copy()
-                    for position, col in zip(positions, columns):
-                        row[position] = col[i]
-                    yield tuple(row)
-        offset += row_count
-
-    # Open tail buffers (rows loaded but not yet sealed into blocks).
-    tails = [(position, chain.tail_values) for position, chain in live]
-    tail_count = len(tails[0][1])
-    for i in range(tail_count):
-        row_offset = offset + i
-        if snapshot.can_see(insert_xids[row_offset], delete_xids[row_offset]):
-            row = [None] * width
-            for position, tail in tails:
-                row[position] = tail[i]
-            yield tuple(row)
-    if stats is not None and tail_count:
-        stats.values_read += tail_count * len(live)
-
-
-def shard_block_count(shard: TableShard) -> int:
-    """Number of sealed row blocks in *shard* (chains are in lockstep)."""
-    if not shard.chains:
-        return 0
-    return len(next(iter(shard.chains.values())).blocks)
-
-
-def scan_shard_morsel(
-    shard: TableShard,
-    column_names: Sequence[str | None],
-    zone_predicates: Sequence[tuple[int, str, object]],
-    snapshot: Snapshot,
-    block_start: int,
-    block_end: int,
-    include_tail: bool,
-    stats: ScanStats | None = None,
-    io_log: list[int] | None = None,
-) -> Iterator[tuple]:
-    """Yield visible rows from the block range [*block_start*, *block_end*).
-
-    The morsel-sized twin of :func:`scan_shard` for the parallel
-    executor: identical zone-map skipping, MVCC visibility and stats
-    accounting, restricted to a contiguous range of row blocks (plus the
-    open tail buffers when *include_tail* — exactly one morsel per shard
-    carries the tail). Concatenating every morsel of a shard in block
-    order reproduces the serial scan row-for-row and stat-for-stat.
-
-    Instead of charging a :class:`SimulatedDisk` directly, chain-block
-    reads append their encoded byte counts to *io_log*; workers run
-    without their slice's disk object and the leader replays the log
-    through ``disk.record_read`` in morsel order, so disk accounting and
-    injected media faults fire in the same sequence as a serial scan.
-    """
-    width = len(column_names)
-    if width == 0:
-        return
-    live = [
-        (position, shard.chain(name))
-        for position, name in enumerate(column_names)
-        if name is not None
-    ]
-    insert_xids = shard.insert_xids
-    delete_xids = shard.delete_xids
-
-    if not live:
-        # Pure row-count scans: synthesize rows from visibility metadata
-        # for the offsets this morsel's block range (and tail) covers.
-        reference = (
-            next(iter(shard.chains.values())) if shard.chains else None
-        )
-        blocks = reference.blocks if reference is not None else []
-        start = sum(block.count for block in blocks[:block_start])
-        end = start + sum(
-            block.count for block in blocks[block_start:block_end]
-        )
-        ranges = [(start, end)]
-        if include_tail:
-            sealed = sum(block.count for block in blocks)
-            ranges.append((sealed, shard.row_count))
-        empty = (None,) * width
-        for lo, hi in ranges:
-            for offset in range(lo, hi):
-                if snapshot.can_see(insert_xids[offset], delete_xids[offset]):
-                    yield empty
-        return
-
-    live_positions = {position: i for i, (position, _) in enumerate(live)}
-    blocks_per_chain = [chain.blocks for _, chain in live]
-
-    offset = sum(block.count for block in blocks_per_chain[0][:block_start])
-    for k in range(block_start, block_end):
-        row_count = blocks_per_chain[0][k].count
-        skip = False
-        for col_pos, op, literal in zone_predicates:
-            chain_index = live_positions[col_pos]
-            if not blocks_per_chain[chain_index][k].zone_map.might_satisfy(
-                op, literal
-            ):
-                skip = True
-                break
-        if stats is not None:
-            stats.blocks_total += 1
-            if skip:
-                stats.blocks_skipped += 1
-            else:
-                stats.blocks_read += 1
-        if skip:
-            offset += row_count
-            continue
-        row_template: list = [None] * width
-        columns = []
-        for chain_blocks in blocks_per_chain:
-            block = chain_blocks[k]
-            if stats is not None:
-                stats.chains_read += 1
-                stats.bytes_read += block.encoded_bytes
-                stats.values_read += block.count
-            if io_log is not None:
-                io_log.append(block.encoded_bytes)
-            columns.append(block.read())
-        end = offset + row_count
-        fully_visible = _block_fully_visible(
-            insert_xids, delete_xids, offset, end, snapshot
-        )
-        if len(live) == width and fully_visible:
-            yield from zip(*columns)
-        else:
-            positions = [position for position, _ in live]
-            for i in range(row_count):
-                row_offset = offset + i
-                if fully_visible or snapshot.can_see(
-                    insert_xids[row_offset], delete_xids[row_offset]
-                ):
-                    row = row_template.copy()
-                    for position, col in zip(positions, columns):
-                        row[position] = col[i]
-                    yield tuple(row)
-        offset += row_count
-
-    if not include_tail:
-        return
-    # Open tail buffers (rows loaded but not yet sealed into blocks).
-    tail_offset = sum(block.count for block in blocks_per_chain[0])
-    tails = [(position, chain.tail_values) for position, chain in live]
-    tail_count = len(tails[0][1])
-    for i in range(tail_count):
-        row_offset = tail_offset + i
-        if snapshot.can_see(insert_xids[row_offset], delete_xids[row_offset]):
-            row = [None] * width
-            for position, tail in tails:
-                row[position] = tail[i]
-            yield tuple(row)
-    if stats is not None and tail_count:
-        stats.values_read += tail_count * len(live)
-
-
-def scan_shard_batches(
-    shard: TableShard,
-    column_names: Sequence[str | None],
-    zone_predicates: Sequence[tuple[int, str, object]],
-    snapshot: Snapshot,
-    stats: ScanStats | None = None,
-    disk: SimulatedDisk | None = None,
-    block_cache=None,
-    encoded: bool = False,
-) -> Iterator["ColumnBatch"]:
-    """Yield visible rows as :class:`ColumnBatch`es, one per surviving block.
-
-    The column-vector twin of :func:`scan_shard`: same zone-map skipping,
-    MVCC visibility and IO accounting, but each block's decoded columns
-    are handed onward as whole vectors instead of being re-zipped into
-    row tuples. When every row of a block is visible the decoded lists
-    are passed through without copying — this is where the batch engine's
-    decode-once economics come from.
+    *stats* count logical row blocks once each (``blocks_total`` /
+    ``blocks_read`` / ``blocks_skipped``); per-column chain-block reads
+    are ``chains_read``. *charge* is called with the encoded byte count of
+    every chain block fetched from disk, in read order:
+    ``disk.record_read`` on the leader, an IO log's ``append`` in a worker
+    (the leader replays the log through the disk in morsel order, so disk
+    accounting and injected media faults fire as in a serial scan).
 
     *block_cache* (a :class:`repro.storage.blockcache.BlockDecodeCache`)
-    serves decoded vectors across queries; cache hits skip the simulated
-    disk read and byte accounting (the IO they avoid) while block/value
-    counts stay identical to the row path.
-
-    With *encoded* (``SET enable_encoded_scan``), blocks whose codec the
-    kernels can execute on directly (``OPERATE_ON_COMPRESSED``) are handed
-    onward as verified-but-undecoded :class:`EncodedColumn`s instead of
-    decoded lists — unless the decode cache already holds the decoded
-    vector, which is cheaper still. Encoded reads are verified against the
-    payload checksum without decoding, charge the disk normally, and are
-    neither cache hits nor misses (no decode was requested).
+    serves decoded vectors across queries; hits skip the charge and the
+    byte accounting (the IO they avoid) while block/value counts stay
+    identical. With *encoded* (``SET enable_encoded_scan``), blocks whose
+    codec the kernels can execute on directly are yielded as
+    verified-but-undecoded :class:`EncodedColumn`s — unless the cache
+    already holds the decoded vector, which is cheaper still. Encoded
+    reads are charged normally and are neither cache hits nor misses (no
+    decode was requested).
     """
-    from repro.exec.batch import ColumnBatch
-
     width = len(column_names)
     if width == 0:
         return
-    live = [
-        (position, shard.chain(name))
+    xids = (shard.insert_xids, shard.delete_xids)
+    chains = {
+        position: shard.chain(name)
         for position, name in enumerate(column_names)
         if name is not None
-    ]
-    insert_xids = shard.insert_xids
-    delete_xids = shard.delete_xids
-
-    if not live:
-        # Pure row-count scans: no chain IO, one batch of all-dead columns
-        # sized by visibility metadata alone.
-        visible = sum(
-            1
-            for offset in range(shard.row_count)
-            if snapshot.can_see(insert_xids[offset], delete_xids[offset])
+    }
+    if not chains:
+        # Pure row-count scans (e.g. unfiltered COUNT(*)): no chain IO,
+        # one all-dead item sized by visibility metadata alone.
+        counts = [block.count for block in _any_chain_blocks(shard)]
+        start = sum(counts[:block_start])
+        offsets = chain(
+            range(start, start + sum(counts[block_start:block_end])),
+            range(sum(counts), shard.row_count) if include_tail else (),
         )
+        visible = sum(snapshot.can_see(xids[0][i], xids[1][i]) for i in offsets)
         if visible:
-            yield ColumnBatch([None] * width, visible)
+            yield [None] * width, None, visible
         return
 
-    live_positions = {position: i for i, (position, _) in enumerate(live)}
-    blocks_per_chain = [chain.blocks for _, chain in live]
-    block_count = len(blocks_per_chain[0])
-
-    offset = 0
-    for k in range(block_count):
-        row_count = blocks_per_chain[0][k].count
+    sealed = {position: column.blocks for position, column in chains.items()}
+    lead = next(iter(sealed.values()))
+    if block_end is None:
+        block_end = len(lead)
+    pruners = [
+        (sealed[col_pos], op, literal) for col_pos, op, literal in zone_predicates
+    ]
+    offset = sum(block.count for block in lead[:block_start])
+    for k in range(block_start, block_end):
+        row_count = lead[k].count
         skip = False
-        for col_pos, op, literal in zone_predicates:
-            chain_index = live_positions[col_pos]
-            if not blocks_per_chain[chain_index][k].zone_map.might_satisfy(
-                op, literal
-            ):
+        for blocks, op, literal in pruners:
+            if not blocks[k].zone_map.might_satisfy(op, literal):
                 skip = True
                 break
         if stats is not None:
@@ -355,39 +130,24 @@ def scan_shard_batches(
         if skip:
             offset += row_count
             continue
-        vectors = []
-        for chain_blocks in blocks_per_chain:
-            block = chain_blocks[k]
-            hit = False
-            enc_used = False
+        columns: list = [None] * width
+        for position, blocks in sealed.items():
+            block = blocks[k]
+            hit = missed = False
             if encoded and supports_block(block):
                 # A resident decoded vector is cheaper than the payload;
-                # otherwise verify the payload bytes (no decode) and hand
-                # the compressed column straight to the kernels.
-                cached = (
+                # otherwise hand the compressed column to the kernels.
+                values = (
                     block_cache.peek(block) if block_cache is not None else None
                 )
-                if cached is not None:
-                    values, hit = cached, True
-                else:
-                    block.verify_checksum()
-                    values = EncodedColumn(block, stats)
-                    enc_used = True
-                    if stats is not None:
-                        entry = stats.encoding.setdefault(
-                            block.codec_name, [0] * ENC_WIDTH
-                        )
-                        avoided = (
-                            block.count * block.vector.sql_type.byte_width
-                        )
-                        entry[ENC_BLOCKS] += 1
-                        entry[ENC_VALUES] += block.count
-                        entry[ENC_BYTES_AVOIDED] += avoided
-                        stats.decode_bytes_avoided += avoided
+                hit = values is not None
+                if not hit:
+                    values = _encoded_column(block, stats)
             elif block_cache is not None:
                 values, hit = block_cache.lookup(block)
+                missed = not hit
             else:
-                values, hit = block.read_vector(), False
+                values = block.read_vector()
             if stats is not None:
                 stats.chains_read += 1
                 stats.values_read += block.count
@@ -395,82 +155,141 @@ def scan_shard_batches(
                     stats.cache_hits += 1
                 else:
                     stats.bytes_read += block.encoded_bytes
-                    if not enc_used:
+                    if missed:
                         stats.cache_misses += 1
-            if not hit and disk is not None:
-                disk.record_read(block.encoded_bytes)
-            vectors.append(values)
-        end = offset + row_count
-        columns: list = [None] * width
-        if _block_fully_visible(insert_xids, delete_xids, offset, end, snapshot):
-            batch_encoded = 0
-            for (position, _), values in zip(live, vectors):
-                columns[position] = values
-                if type(values) is EncodedColumn:
-                    batch_encoded += 1
-            if batch_encoded and stats is not None:
-                stats.encoded_batches += 1
-            yield ColumnBatch(columns, row_count)
-        else:
-            selection = [
-                i
-                for i in range(row_count)
-                if snapshot.can_see(
-                    insert_xids[offset + i], delete_xids[offset + i]
-                )
-            ]
-            if selection:
-                for (position, _), values in zip(live, vectors):
-                    if type(values) is EncodedColumn:
-                        columns[position] = values.gather(selection)
-                    else:
-                        columns[position] = [values[i] for i in selection]
-                yield ColumnBatch(columns, len(selection))
+            if not hit and charge is not None:
+                charge(block.encoded_bytes)
+            columns[position] = values
+        selection = _selection(xids, offset, row_count, snapshot)
+        if selection is None or selection:
+            yield columns, selection, row_count
         offset += row_count
 
-    # Open tail buffers (rows loaded but not yet sealed into blocks).
-    tails = [chain.tail_values for _, chain in live]
-    tail_count = len(tails[0])
-    if tail_count:
-        selection = [
-            i
-            for i in range(tail_count)
-            if snapshot.can_see(insert_xids[offset + i], delete_xids[offset + i])
-        ]
-        if selection:
-            columns = [None] * width
-            for (position, _), tail in zip(live, tails):
-                columns[position] = [tail[i] for i in selection]
-            yield ColumnBatch(columns, len(selection))
-        if stats is not None:
-            stats.values_read += tail_count * len(live)
+    tails = {position: column.tail_values for position, column in chains.items()}
+    tail_count = len(next(iter(tails.values()))) if include_tail else 0
+    if not tail_count:
+        return
+    offset = sum(block.count for block in lead)
+    selection = _selection(xids, offset, tail_count, snapshot)
+    if selection is None or selection:
+        columns = [None] * width
+        for position, tail in tails.items():
+            # Copied: the live buffer grows under concurrent inserts.
+            columns[position] = tail[:tail_count]
+        yield columns, selection, tail_count
+    if stats is not None:
+        stats.values_read += tail_count * len(chains)
+
+
+def scan_rows(
+    shard: TableShard,
+    column_names: Sequence[str | None],
+    zone_predicates: Sequence[tuple[int, str, object]],
+    snapshot: Snapshot,
+    **cursor,
+) -> Iterator[tuple]:
+    """Yield visible rows (tuples of the named columns, None in dead
+    slots) — the row adapter over :func:`scan_blocks`, whose keyword
+    arguments *cursor* carries."""
+    has_dead = None in column_names
+    for columns, selection, count in scan_blocks(
+        shard, column_names, zone_predicates, snapshot, **cursor
+    ):
+        if selection is not None:
+            count = len(selection)
+            columns = ColumnBatch(columns, count).take(selection).columns
+        if has_dead:
+            columns = [
+                repeat(None, count) if col is None else col for col in columns
+            ]
+        yield from zip(*columns)
+
+
+def scan_batches(
+    shard: TableShard,
+    column_names: Sequence[str | None],
+    zone_predicates: Sequence[tuple[int, str, object]],
+    snapshot: Snapshot,
+    **cursor,
+) -> Iterator[ColumnBatch]:
+    """Yield visible rows as :class:`ColumnBatch`es, one per surviving
+    block — the batch adapter over :func:`scan_blocks`, whose keyword
+    arguments *cursor* carries.
+
+    When every row of a block is visible the cursor's vectors are passed
+    through without copying — this is where the batch engine's
+    decode-once economics come from; otherwise only the visible
+    positions are gathered (late-materialized for encoded columns).
+    """
+    stats = cursor.get("stats")
+    for columns, selection, count in scan_blocks(
+        shard, column_names, zone_predicates, snapshot, **cursor
+    ):
+        batch = ColumnBatch(columns, count)
+        if selection is not None:
+            yield batch.take(selection)
+            continue
+        if stats is not None and any(
+            type(col) is EncodedColumn for col in columns
+        ):
+            stats.encoded_batches += 1
+        yield batch
+
+
+def shard_block_count(shard: TableShard) -> int:
+    """Number of sealed row blocks in *shard* (chains are in lockstep)."""
+    return len(_any_chain_blocks(shard))
+
+
+def _any_chain_blocks(shard: TableShard) -> list:
+    for column in shard.chains.values():
+        return column.blocks
+    return []
+
+
+def _encoded_column(block, stats: ScanStats | None) -> EncodedColumn:
+    """Wrap *block* undecoded: verify the payload bytes (no decode) and
+    account the decode avoided, per codec."""
+    block.verify_checksum()
+    if stats is not None:
+        entry = stats.encoding.setdefault(block.codec_name, [0] * ENC_WIDTH)
+        avoided = block.count * block.vector.sql_type.byte_width
+        entry[ENC_BLOCKS] += 1
+        entry[ENC_VALUES] += block.count
+        entry[ENC_BYTES_AVOIDED] += avoided
+        stats.decode_bytes_avoided += avoided
+    return EncodedColumn(block, stats)
+
+
+def _selection(
+    xids: tuple[list, list], start: int, count: int, snapshot: Snapshot
+) -> list[int] | None:
+    """Positions in [0, *count*) of the rows from offset *start* on that
+    *snapshot* can see, None when it sees them all; *xids* are the
+    shard's per-row (inserter, deleter) lists."""
+    inserted = xids[0][start : start + count]
+    deleted = xids[1][start : start + count]
+    if _block_fully_visible(inserted, deleted, snapshot):
+        return None
+    return [
+        i
+        for i, (ins, dele) in enumerate(zip(inserted, deleted))
+        if snapshot.can_see(ins, dele)
+    ]
 
 
 def _block_fully_visible(
-    insert_xids: list[int],
-    delete_xids: list[int | None],
-    start: int,
-    end: int,
-    snapshot: Snapshot,
+    inserted: list[int], deleted: list[int | None], snapshot: Snapshot
 ) -> bool:
-    """True when every row in [start, end) is visible to *snapshot*.
+    """True when every row is visible to *snapshot*.
 
     Checked via the distinct inserter set (typically one xid per block)
     rather than per row, so the common no-deletes case stays O(1)-ish.
     """
-    for dele in delete_xids[start:end]:
+    for dele in deleted:
         if dele is not None:
             return False
-    for ins in set(insert_xids[start:end]):
+    for ins in set(inserted):
         if not snapshot.can_see(ins, None):
             return False
     return True
-
-
-def visible_offsets(shard: TableShard, snapshot: Snapshot) -> list[int]:
-    """Row offsets visible to *snapshot* (used by DELETE/UPDATE targeting)."""
-    return [
-        i
-        for i, (ins, dele) in enumerate(zip(shard.insert_xids, shard.delete_xids))
-        if snapshot.can_see(ins, dele)
-    ]

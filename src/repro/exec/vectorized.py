@@ -27,7 +27,7 @@ import time
 from repro.exec import exchange
 from repro.exec.batch import ColumnBatch, make_mask_kernel, make_value_kernel
 from repro.exec.encoded import EncodedColumn
-from repro.exec.scan import scan_shard_batches
+from repro.exec.scan import scan_batches
 from repro.exec.spill import SpillableHashTable
 from repro.exec.volcano import PerSlice, VolcanoExecutor, _compile, scan_column_names
 from repro.plan.physical import (
@@ -126,14 +126,14 @@ class VectorizedExecutor(VolcanoExecutor):
             slice_batches = BatchList()
             if store.has_shard(node.table.name):
                 shard = store.shard(node.table.name)
-                for batch in scan_shard_batches(
+                for batch in scan_batches(
                     shard,
                     column_names,
                     node.zone_predicates,
                     self._ctx.snapshot,
-                    local,
-                    store.disk,
-                    cache,
+                    stats=local,
+                    charge=store.disk.record_read,
+                    block_cache=cache,
                     encoded=self._ctx.encoded_scan,
                 ):
                     if stat is not None:

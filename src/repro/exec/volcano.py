@@ -16,7 +16,7 @@ from typing import Iterable
 from repro.errors import ExecutionError
 from repro.exec import exchange
 from repro.exec.context import ExecutionContext, OperatorStat, SpillEvent
-from repro.exec.scan import scan_shard
+from repro.exec.scan import scan_rows
 from repro.exec.spill import (
     SpillableAggregateStates,
     SpillableHashTable,
@@ -335,13 +335,13 @@ class VolcanoExecutor:
                 out.append([])
                 continue
             shard = store.shard(node.table.name)
-            rows: Iterable[tuple] = scan_shard(
+            rows: Iterable[tuple] = scan_rows(
                 shard,
                 column_names,
                 node.zone_predicates,
                 self._ctx.snapshot,
-                local,
-                store.disk,
+                stats=local,
+                charge=store.disk.record_read,
             )
             if stat is not None:
                 rows = self._counted_iter(

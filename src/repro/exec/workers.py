@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.transactions import Snapshot
 from repro.errors import ExecutionError, WorkerCrashError
-from repro.exec.scan import scan_shard_morsel
+from repro.exec.scan import scan_rows
 from repro.exec.spill import MemoryBudget, SpillLog, SpillableAggregateStates
 from repro.sql import ast
 from repro.sql.expressions import compile_expression
@@ -244,16 +244,16 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
     stats = ScanStats()
     io_log: list[int] = []
     rows = list(
-        scan_shard_morsel(
+        scan_rows(
             shard,
-            list(pipeline.column_names),
-            list(pipeline.zone_predicates),
+            pipeline.column_names,
+            pipeline.zone_predicates,
             task.snapshot,
-            task.block_start,
-            task.block_end,
-            task.include_tail,
-            stats,
-            io_log,
+            block_start=task.block_start,
+            block_end=task.block_end,
+            include_tail=task.include_tail,
+            stats=stats,
+            charge=io_log.append,
         )
     )
     scanned = len(rows)

@@ -57,9 +57,19 @@ class LazyBlock:
                 self._on_fault(self)
         return self._materialized
 
+    @property
+    def vector(self):
+        return self._materialize().vector
+
     def read(self, verify: bool = True) -> list[object]:
         """Fetch (if needed) and decode the block."""
         return self._materialize().read(verify)
+
+    def read_vector(self, verify: bool = True) -> list[object]:
+        return self._materialize().read_vector(verify)
+
+    def verify_checksum(self) -> None:
+        self._materialize().verify_checksum()
 
     def serialize(self) -> bytes:
         return self._materialize().serialize()

@@ -10,7 +10,7 @@ encoded block when it reaches capacity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from repro.compression.codecs import Codec, codec_by_name
 from repro.datatypes.types import SqlType
@@ -151,87 +151,12 @@ class ColumnChain:
 
     # ---- reads ---------------------------------------------------------------
 
-    def scan(
-        self,
-        zone_predicate: tuple[str, object] | None = None,
-        stats: ScanStats | None = None,
-    ) -> Iterator[tuple[int, object]]:
-        """Yield (row_offset, value) pairs, skipping blocks via zone maps.
-
-        *zone_predicate* is an (operator, literal) pair applied to this
-        column; blocks whose zone map proves no row can satisfy it are
-        skipped entirely (their rows are simply not yielded). Callers that
-        need those row offsets for other columns must not pass a predicate.
-        """
-        offset = 0
-        for block in self._blocks:
-            skip = (
-                zone_predicate is not None
-                and not block.zone_map.might_satisfy(*zone_predicate)
-            )
-            if stats is not None:
-                stats.blocks_total += 1
-                if skip:
-                    stats.blocks_skipped += 1
-                else:
-                    stats.blocks_read += 1
-                    stats.chains_read += 1
-                    stats.bytes_read += block.encoded_bytes
-                    stats.values_read += block.count
-            if skip:
-                offset += block.count
-                continue
-            for value in block.read():
-                yield offset, value
-                offset += 1
-        for value in self._tail:
-            yield offset, value
-            offset += 1
-        if stats is not None and self._tail:
-            stats.values_read += len(self._tail)
-
     def read_all(self) -> list[object]:
         """Materialize every value in the chain in row order."""
         out: list[object] = []
         for block in self._blocks:
             out.extend(block.read())
         out.extend(self._tail)
-        return out
-
-    def read_at(self, offsets: Sequence[int]) -> list[object]:
-        """Fetch values at specific row offsets (offsets must be sorted).
-
-        This is the "logical offset" linkage: after a predicate selects row
-        positions on one column, sibling columns are fetched by offset.
-        """
-        out: list[object] = []
-        if not offsets:
-            return out
-        it = iter(offsets)
-        want = next(it)
-        base = 0
-        done = False
-        for block in self._blocks:
-            end = base + block.count
-            if want < end:
-                values = block.read()
-                while want < end:
-                    out.append(values[want - base])
-                    try:
-                        want = next(it)
-                    except StopIteration:
-                        done = True
-                        break
-            if done:
-                break
-            base = end
-        else:
-            while not done:
-                out.append(self._tail[want - base])
-                try:
-                    want = next(it)
-                except StopIteration:
-                    done = True
         return out
 
     def replace_block(self, block_id: str, block: Block) -> bool:

@@ -136,6 +136,19 @@ class TestStreamingRestore:
         # Skipped blocks must NOT have been fetched.
         assert result.faulted_blocks < result.total_blocks / 2
 
+    @pytest.mark.parametrize(
+        "executor", ["volcano", "compiled", "vectorized", "parallel"]
+    )
+    def test_every_executor_reads_lazy_blocks(self, backed_up, executor):
+        _, _, backups, env = backed_up
+        backups.snapshot("user", label="s1")
+        result = RestoreManager(env.s3, "bkt", env.clock).streaming_restore("s1")
+        s2 = result.cluster.connect(executor=executor)
+        r = s2.execute("SELECT sum(id) FROM sales WHERE id >= 2990")
+        assert r.scalar() == sum(range(2990, 3000))
+        # (Forked parallel workers fault blocks in on their side.)
+        assert result.faulted_blocks < result.total_blocks / 2
+
     def test_background_fetch_completes(self, backed_up):
         _, _, backups, env = backed_up
         backups.snapshot("user", label="s1")

@@ -131,6 +131,22 @@ class TestSessionIntegration:
         assert not fresh.stats.result_cache_hit
         assert fresh.rows == [(41,)]
 
+    def test_stale_entry_is_reclaimed_by_the_next_lookup(self, cluster):
+        # The write moves the plan's row estimates; the key must not
+        # follow them, or the stale entry is never found again and
+        # squats in the LRU instead of being invalidated.
+        s = cluster.connect()
+        cache = cluster.result_cache
+        sql = "SELECT sum(v) FROM a WHERE k >= 0"
+        s.execute(sql)
+        entries, invalidations = len(cache), cache.invalidations
+        s.execute("INSERT INTO a VALUES (99, 99)")
+        fresh = s.execute(sql)
+        assert fresh.rows == [(sum(i * 2 for i in range(40)) + 99,)]
+        assert not fresh.stats.result_cache_hit
+        assert cache.invalidations == invalidations + 1
+        assert len(cache) == entries
+
     def test_delete_invalidates(self, cluster):
         s = cluster.connect()
         sql = "SELECT count(*) FROM a"
@@ -199,6 +215,8 @@ class TestSessionIntegration:
         s = cluster.connect()
         with pytest.raises(AnalysisError):
             s.execute("SET enable_result_cache = maybe")
+        with pytest.raises(AnalysisError, match="unknown session parameter"):
+            s.execute("SET enable_spill = off")
 
     def test_explicit_transaction_bypasses(self, cluster):
         s = cluster.connect()

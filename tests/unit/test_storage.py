@@ -7,7 +7,6 @@ from repro.errors import BlockCorruptionError, DiskFailureError, StorageError
 from repro.storage import (
     Block,
     ColumnChain,
-    ScanStats,
     SimulatedDisk,
     SliceStorage,
     TableShard,
@@ -108,40 +107,6 @@ class TestColumnChain:
         chain = ColumnChain("c", INTEGER, "delta", block_capacity=7)
         chain.append(list(range(40)))
         assert chain.read_all() == list(range(40))
-
-    def test_scan_with_zone_skipping(self):
-        chain = ColumnChain("c", INTEGER, "raw", block_capacity=10)
-        chain.append(list(range(100)))
-        chain.seal()
-        stats = ScanStats()
-        got = [v for _, v in chain.scan((">=", 90), stats)]
-        assert got == list(range(90, 100))
-        assert stats.blocks_skipped == 9
-        assert stats.blocks_read == 1
-
-    def test_scan_offsets_account_for_skipped_blocks(self):
-        chain = ColumnChain("c", INTEGER, "raw", block_capacity=10)
-        chain.append(list(range(30)))
-        chain.seal()
-        # Zone maps are conservative: the whole surviving block is yielded
-        # (callers re-filter), but offsets must stay global, accounting
-        # for the two skipped blocks before it.
-        pairs = list(chain.scan(("=", 25)))
-        assert pairs == [(i, i) for i in range(20, 30)]
-
-    def test_scan_includes_unsealed_tail(self):
-        chain = ColumnChain("c", INTEGER, "raw", block_capacity=100)
-        chain.append([1, 2, 3])
-        assert [v for _, v in chain.scan()] == [1, 2, 3]
-
-    def test_read_at_spans_blocks_and_tail(self):
-        chain = ColumnChain("c", INTEGER, "raw", block_capacity=5)
-        chain.append(list(range(12)))
-        assert chain.read_at([0, 4, 5, 9, 11]) == [0, 4, 5, 9, 11]
-
-    def test_read_at_empty(self):
-        chain = ColumnChain("c", INTEGER)
-        assert chain.read_at([]) == []
 
     def test_rewrite_in_order(self):
         chain = ColumnChain("c", INTEGER, "raw", block_capacity=4)
