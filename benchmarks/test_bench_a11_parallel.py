@@ -6,7 +6,10 @@ executors simulate that layout but drain the slices one after another on
 a single core; the parallel engine actually fans scan→filter→aggregate
 pipelines out to per-slice worker processes and merges partial states on
 the leader. This ablation measures that fan-out on a scan-heavy partial
-aggregation at parallelism 1, 2 and 4.
+aggregation at parallelism 1, 2 and 4, and against the same query on a
+serial ``vectorized`` session — the engine a morsel's pipeline is, and so
+the baseline that says what the fan-out itself buys
+(``speedup_vs_vectorized``; reported, no bar yet).
 
 The JSON entry records ``cpu_count`` so a trajectory diff can tell a
 genuine regression from a smaller runner; the 1.5x acceptance bar only
@@ -42,8 +45,8 @@ def build(rows: int = ROWS) -> Cluster:
     return cluster
 
 
-def run_timed(cluster, parallelism: int, repeats: int = 3):
-    session = cluster.connect(executor="parallel", parallelism=parallelism)
+def run_timed(cluster, repeats: int = 3, **session_kwargs):
+    session = cluster.connect(**session_kwargs)
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -59,7 +62,10 @@ def test_a11_parallel_scaling(benchmark, reporter, bench_record, request):
         timings = {}
         results = {}
         for degree in (1, 2, 4):
-            timings[degree], results[degree] = run_timed(cluster, degree)
+            timings[degree], results[degree] = run_timed(
+                cluster, executor="parallel", parallelism=degree
+            )
+        vectorized_s, vectorized_r = run_timed(cluster, executor="vectorized")
         benchmark.pedantic(
             lambda: cluster.connect(
                 executor="parallel", parallelism=4
@@ -74,18 +80,22 @@ def test_a11_parallel_scaling(benchmark, reporter, bench_record, request):
         )
         serial_r = cluster.connect(executor="volcano").execute(QUERY)
         assert sorted(serial_r.rows) == sorted(results[4].rows)
+        assert sorted(vectorized_r.rows) == sorted(results[4].rows)
 
         cores = os.cpu_count() or 1
         reporter(
             "a11 — slice-parallel partial aggregation, 240k rows "
             f"({cores} cores)",
             [
-                "parallelism | best of 3 | speedup vs parallelism 1",
+                "parallelism | best of 3 | speedup vs parallelism 1 "
+                "| vs vectorized serial",
                 *(
                     f"{degree:11d} | {timings[degree] * 1000:7.1f} ms | "
-                    f"{timings[1] / timings[degree]:.2f}x"
+                    f"{timings[1] / timings[degree]:.2f}x | "
+                    f"{vectorized_s / timings[degree]:.2f}x"
                     for degree in (1, 2, 4)
                 ),
+                f" vectorized | {vectorized_s * 1000:7.1f} ms |",
             ],
         )
         bench_record(
@@ -95,6 +105,8 @@ def test_a11_parallel_scaling(benchmark, reporter, bench_record, request):
             parallel2_ms=round(timings[2] * 1000, 3),
             parallel4_ms=round(timings[4] * 1000, 3),
             speedup_p4=round(timings[1] / timings[4], 3),
+            vectorized_ms=round(vectorized_s * 1000, 3),
+            speedup_vs_vectorized=round(vectorized_s / timings[4], 3),
         )
         # Acceptance bar: 4 workers must beat the inline run by 1.5x on a
         # machine that actually has the cores; smaller runners skip it

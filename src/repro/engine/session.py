@@ -161,9 +161,9 @@ class Session:
         #: and the admitting WLM queue's per-slot share (or runs
         #: unbounded when neither is configured).
         self._memory_limit = memory_limit
-        #: ``SET enable_encoded_scan``: off forces vectorized scans to
-        #: decode every block up front (the pre-operate-on-compressed
-        #: behaviour) instead of handing encoded columns to the kernels.
+        #: ``SET enable_encoded_scan``: off forces vectorized and parallel
+        #: scans to decode every block up front instead of handing encoded
+        #: columns to the kernels.
         self._enable_encoded_scan = bool(
             getattr(cluster, "enable_encoded_scan_default", True)
         )

@@ -22,6 +22,10 @@ The AND/OR fast paths are sound under SQL's three-valued logic because a
 mask encodes ``IS TRUE``: ``(a AND b) IS TRUE`` iff both are TRUE, and
 ``(a OR b) IS TRUE`` iff either is. ``NOT`` has no such identity (NOT of
 UNKNOWN is UNKNOWN, not TRUE) and always takes the fallback.
+
+The per-batch steps built from those kernels (:func:`apply_masks`,
+:func:`project_batch`, :func:`accumulate_batches`) live here too: the
+vectorized operators and the morsel workers run the same functions.
 """
 
 from __future__ import annotations
@@ -133,9 +137,27 @@ class ColumnBatch:
                 columns.append([col[i] for i in selection])
         return ColumnBatch(columns, len(selection))
 
+    def decoded(self) -> "ColumnBatch":
+        """A fresh batch of plain lists (dead columns stay dead, no row
+        memo): what may cross the worker pool. An :class:`EncodedColumn`
+        references its block and the scan's ``ScanStats``."""
+        return ColumnBatch(
+            [
+                col.materialize() if type(col) is EncodedColumn else col
+                for col in self.columns
+            ],
+            self.count,
+        )
+
 
 def _no_unresolved(ref: ast.ColumnRef) -> int:
     raise ExecutionError(f"unresolved column reference {ref.to_sql()!r}")
+
+
+def _compile(expr: ast.Expression):
+    """The interpreted row closure of a bound expression — the one
+    definition every executor's row fallback shares."""
+    return compile_expression(expr, _no_unresolved)
 
 
 def _inlinable(expr: ast.BinaryOp) -> bool:
@@ -229,7 +251,7 @@ def make_mask_kernel(expr: ast.Expression) -> Callable[[ColumnBatch], list]:
     kernel = _try_mask_fast_path(expr)
     if kernel is not None:
         return kernel
-    fn = compile_expression(expr, _no_unresolved)
+    fn = _compile(expr)
 
     def fallback(batch: ColumnBatch) -> list:
         return [fn(row) is True for row in batch.rows()]
@@ -373,7 +395,7 @@ def make_value_kernel(expr: ast.Expression) -> Callable[[ColumnBatch], list]:
         kernel = _binary_value(expr)
         if kernel is not None:
             return kernel
-    fn = compile_expression(expr, _no_unresolved)
+    fn = _compile(expr)
 
     def fallback(batch: ColumnBatch) -> list:
         return [fn(row) for row in batch.rows()]
@@ -409,3 +431,84 @@ def _binary_value(expr: ast.BinaryOp):
         )
         return _build(source, {})
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-batch pipeline steps (the serial operators and the morsel workers)
+# ---------------------------------------------------------------------------
+
+def apply_masks(batch: ColumnBatch, masks) -> ColumnBatch | None:
+    """Filter *batch* through mask kernels; None when nothing survives."""
+    for kernel in masks:
+        mask = kernel(batch)
+        if all(mask):
+            continue
+        selection = [i for i, keep in enumerate(mask) if keep]
+        if not selection:
+            return None
+        batch = batch.take(selection)
+    return batch if batch.count else None
+
+
+def project_batch(batch: ColumnBatch, kernels) -> ColumnBatch:
+    """One output column per value kernel."""
+    return ColumnBatch([kernel(batch) for kernel in kernels], batch.count)
+
+
+def accumulate_batches(
+    states: dict, batches, group_kernels, arg_kernels, aggregates
+) -> None:
+    """Fold *batches* into per-group partial aggregate states. *states*
+    is a plain dict or a governed ``SpillableAggregateStates``;
+    ``arg_kernels[i]`` is None for COUNT(*)-style aggregates."""
+    n_aggs = len(aggregates)
+    for batch in batches:
+        count = batch.count
+        if count == 0:
+            continue
+        arg_vectors = [
+            None if kernel is None else kernel(batch) for kernel in arg_kernels
+        ]
+        if not group_kernels:
+            # Global aggregation: fold whole vectors into one state.
+            entry = states.get(())
+            if entry is None:
+                entry = [agg.create() for agg in aggregates]
+                states[()] = entry
+            for i in range(n_aggs):
+                agg = aggregates[i]
+                vector = arg_vectors[i]
+                if vector is None:
+                    # COUNT(*): every row counts once.
+                    entry[i] = agg.merge(entry[i], count)
+                elif (
+                    type(vector) is EncodedColumn
+                    and vector.is_rle
+                    and vector.foldable_runs()
+                ):
+                    # Operate-on-compressed: fold whole RLE runs
+                    # without expanding them (NULL runs are omitted,
+                    # matching SQL aggregate NULL skipping).
+                    state = entry[i]
+                    for value, run in vector.runs():
+                        state = agg.accumulate_run(state, value, run)
+                    entry[i] = state
+                else:
+                    entry[i] = agg.accumulate_many(entry[i], vector)
+            continue
+        key_columns = [kernel(batch) for kernel in group_kernels]
+        if len(key_columns) == 1:
+            keys = [(value,) for value in key_columns[0]]
+        else:
+            keys = list(zip(*key_columns))
+        for j in range(count):
+            key = keys[j]
+            entry = states.get(key)
+            if entry is None:
+                entry = [agg.create() for agg in aggregates]
+                states[key] = entry
+            for i in range(n_aggs):
+                vector = arg_vectors[i]
+                entry[i] = aggregates[i].accumulate(
+                    entry[i], 1 if vector is None else vector[j]
+                )

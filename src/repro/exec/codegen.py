@@ -33,7 +33,6 @@ from typing import Callable
 from repro.errors import ExecutionError
 from repro.exec import exchange
 from repro.exec.context import ExecutionContext
-from repro.exec.spill import SpillableHashTable
 from repro.exec.volcano import VolcanoExecutor, sort_rows
 from repro.plan.physical import (
     PhysicalAggregate,
@@ -651,33 +650,9 @@ class CompiledExecutor(VolcanoExecutor):
                 )
             tables: list[dict] = []
             for s, rows in enumerate(build_data):
-                # Governed build, as in the interpreted path. Fused joins
-                # are never FULL (_pipeline_ok rejects those), so
-                # grace-hash repartitioning is always order-safe here.
-                state = self._spill_state()
-                if state is not None:
-                    budget, manager = state
-                    disk = self._ctx.slices[s].disk
-                    spill_table = SpillableHashTable(
-                        budget,
-                        manager.file_factory(disk),
-                        self._spill_label(join, s),
-                    )
-                    for row in rows:
-                        key = tuple(row[i] for i in keys)
-                        if any(v is None for v in key):
-                            continue
-                        spill_table.insert(key, row)
-                    table = spill_table.build()
-                    self._note_spill(join, spill_table, disk.disk_id)
+                table, spill_table = self._build_hash_table(join, rows, keys, s)
+                if spill_table is not None:
                     spill_table.done()
-                else:
-                    table = {}
-                    for row in rows:
-                        key = tuple(row[i] for i in keys)
-                        if any(v is None for v in key):
-                            continue
-                        table.setdefault(key, []).append(row)
                 tables.append(table)
             per_join_tables.append(tables)
         return per_join_tables

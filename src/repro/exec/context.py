@@ -38,7 +38,7 @@ class OperatorStat:
     cache_hits: int = 0
     cache_misses: int = 0
     #: Operate-on-compressed scan counters (nonzero only for encoded
-    #: vectorized scans): batches that carried still-encoded columns and
+    #: vectorized and parallel scans): batches that carried still-encoded columns and
     #: the uncompressed bytes whose decode was avoided.
     encoded_batches: int = 0
     decode_bytes_avoided: int = 0
@@ -166,7 +166,7 @@ class ExecutionContext:
     #: executor's batch scans; None disables caching.
     block_cache: object = None
     #: Operate-on-compressed scans (SET enable_encoded_scan): vectorized
-    #: batch scans hand whitelisted codecs to the kernels undecoded.
+    #: scans and parallel morsels get whitelisted codecs undecoded.
     encoded_scan: bool = True
     #: Cluster-wide compiled-segment cache consulted by the compiled
     #: executor's pipeline codegen; None disables reuse.

@@ -8,10 +8,11 @@ node executes the same compiled segment" data-plane claim. Work is
 scheduled as *morsels* (contiguous block ranges of one shard) so a
 skewed slice is drained by many workers instead of strangling one.
 
-Everything not pushed down — joins, sorts, exchanges, distinct, limits,
-system-table scans — inherits the interpreted paths from
-:class:`VolcanoExecutor`, so the parallel engine is a strict superset of
-the serial one.
+A morsel runs the serial vectorized engine's batch pipeline (``SET
+enable_encoded_scan`` governs both) and row pipelines come back as
+per-slice ``BatchList``s; everything not pushed down — joins, sorts,
+exchanges, distinct, limits, system-table scans — is inherited from
+:class:`VectorizedExecutor`.
 
 Determinism rules (the merge must be bit-identical to a serial run for
 integer results, and reproducible run-to-run always):
@@ -31,30 +32,25 @@ integer results, and reproducible run-to-run always):
 Failure handling: a morsel whose worker dies (injected WORKER_CRASH
 fault or a broken process pool) is re-executed serially on the leader
 and the recovery is logged; a row-pipeline morsel whose output exceeds
-the configured ship limit falls back to leader execution the same way.
+the configured ship limit falls back to leader execution the same way,
+and so — silently, nothing failed — does one the shared pool would not
+take because a concurrent session had just replaced it.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 from repro.exec.context import SliceExec
 from repro.exec.scan import shard_block_count
-from repro.exec.volcano import (
-    PerSlice,
-    VolcanoExecutor,
-    redistributed_sides,
-    scan_column_names,
-)
+from repro.exec.vectorized import BatchList, VectorizedExecutor
+from repro.exec.volcano import PerSlice, redistributed_sides, scan_column_names
 from repro.exec.workers import (
     MorselResult,
     MorselTask,
-    PackedRows,
     PipelineSpec,
     run_morsel,
-    unpack_rows,
 )
 from repro.errors import WorkerCrashError
 from repro.faults.plan import FaultKind
@@ -82,7 +78,7 @@ class _WorkerSpill:
         self.bytes_read = result.spill_bytes_read
 
 
-class ParallelExecutor(VolcanoExecutor):
+class ParallelExecutor(VectorizedExecutor):
     """Slice-parallel morsel execution with a leader-side ordered merge."""
 
     name = "parallel"
@@ -193,9 +189,10 @@ class ParallelExecutor(VolcanoExecutor):
     ):
         """Run the scan pipeline rooted at *top* on slice workers.
 
-        Returns per-slice row lists (row / partition pipelines) or
-        per-slice partial-state dicts (*aggregate* given), or None when
-        the pipeline cannot be pushed down (system-table scan).
+        Returns per-slice ``BatchList``s (row pipelines), row lists
+        (partition pipelines) or partial-state dicts (*aggregate* given),
+        or None when the pipeline cannot be pushed down (system-table
+        scan).
         """
         chain: list[PhysicalNode] = []
         node = top
@@ -265,9 +262,9 @@ class ParallelExecutor(VolcanoExecutor):
             return self._assemble_partials(aggregate, tasks, results)
         if spec.partition_slices:
             return self._assemble_buckets(top, spec, tasks, results)
-        per_slice: PerSlice = [[] for _ in self._ctx.slices]
+        per_slice: PerSlice = [BatchList() for _ in self._ctx.slices]
         for task, result in zip(tasks, results):
-            per_slice[task.slice_index].extend(result.rows)
+            per_slice[task.slice_index].extend(result.batches)
         return per_slice
 
     def _morselize(
@@ -302,18 +299,22 @@ class ParallelExecutor(VolcanoExecutor):
             blocks = shard_block_count(store.shard(spec.table))
             starts = list(range(0, blocks, step)) or [0]
             for j, start in enumerate(starts):
+                last = j == len(starts) - 1
                 tasks.append(
                     MorselTask(
                         registry_id=registry_id,
                         slice_index=index,
                         slice_id=store.slice_id,
                         block_start=start,
-                        block_end=min(start + step, blocks),
-                        include_tail=(j == len(starts) - 1),
+                        # Open-ended: a concurrent writer may seal the tail
+                        # into new blocks before the morsel is scanned.
+                        block_end=None if last else start + step,
+                        include_tail=last,
                         pipeline=spec,
                         snapshot=self._ctx.snapshot,
                         row_ship_limit=ship_limit,
                         memory_limit=memory_limit,
+                        encoded=self._ctx.encoded_scan,
                     )
                 )
         return tasks
@@ -326,8 +327,8 @@ class ParallelExecutor(VolcanoExecutor):
         Worker-crash faults are drawn on the leader per task, in morsel
         order, from the injector's "worker" stream — deterministic no
         matter how the OS schedules the pool. A crashed or pool-broken
-        morsel is re-executed serially on the leader; so is one whose
-        row output overflowed the ship limit.
+        morsel is re-executed serially on the leader; so is one the pool
+        never took, and one whose row output overflowed the ship limit.
         """
         injector = self._ctx.fault_injector
         prepared = []
@@ -336,39 +337,34 @@ class ParallelExecutor(VolcanoExecutor):
                 task = replace(task, crash=True)
             prepared.append(task)
 
-        results: list[MorselResult | None] = [None] * len(prepared)
-        if mode == "serial":
-            for i, task in enumerate(prepared):
-                results[i] = self._run_or_recover(i, task)
-        else:
+        futures: list = []
+        if mode != "serial":
             manager = self._cfg.pool_manager
             scanned = {task.pipeline.table for task in prepared}
             try:
                 pool = manager.pool(workers, mode, tables=scanned)
-                # Pooled row pipelines ship typed columns across the
-                # pipe; inline re-runs (crash/overflow recovery below)
-                # use the un-flagged tasks and keep plain lists.
-                futures = [
-                    pool.submit(replace(task, pack_rows=True))
-                    for task in prepared
-                ]
+                for task in prepared:
+                    futures.append(pool.submit(task))
             except (BrokenProcessPool, OSError):
                 manager.invalidate()
-                futures = None
-            if futures is None:
-                for i, task in enumerate(prepared):
-                    results[i] = self._run_or_recover(i, task)
-            else:
-                for i, future in enumerate(futures):
-                    try:
-                        results[i] = future.result()
-                    except WorkerCrashError:
-                        results[i] = self._recover(i, prepared[i])
-                    except BrokenProcessPool:
-                        manager.invalidate()
-                        results[i] = self._recover(
-                            i, prepared[i], detail="pool broken"
-                        )
+            except RuntimeError:
+                # A concurrent session replaced the shared pool between
+                # pool() and submit(). Nothing crashed, so no fault is
+                # logged: the morsels it would not take run inline below.
+                pass
+        results: list[MorselResult] = []
+        for i, task in enumerate(prepared):
+            try:
+                results.append(
+                    futures[i].result()
+                    if i < len(futures)  # else: serial mode, or never taken
+                    else run_morsel(task, self._ctx.slices)
+                )
+            except WorkerCrashError:
+                results.append(self._recover(i, task))
+            except BrokenProcessPool:
+                manager.invalidate()
+                results.append(self._recover(i, task, detail="pool broken"))
 
         for i, result in enumerate(results):
             if result.overflow:
@@ -378,14 +374,7 @@ class ParallelExecutor(VolcanoExecutor):
                     replace(tasks[i], row_ship_limit=0, crash=False),
                     self._ctx.slices,
                 )
-            elif isinstance(result.rows, PackedRows):
-                result.rows = unpack_rows(result.rows)
         return results
-
-    def _run_or_recover(self, index: int, task: MorselTask) -> MorselResult:
-        if task.crash:
-            return self._recover(index, task)
-        return run_morsel(task, self._ctx.slices)
 
     def _recover(
         self, index: int, task: MorselTask, detail: str = "injected crash"
@@ -517,8 +506,8 @@ class ParallelExecutor(VolcanoExecutor):
             entry.morsels += 1
             entry.scanned_rows += result.scanned_rows
             entry.elapsed_us += result.elapsed_us
-            if result.rows is not None:
-                entry.rows += len(result.rows)
+            if result.batches is not None:
+                entry.rows += sum(batch.count for batch in result.batches)
             elif result.buckets is not None:
                 entry.rows += sum(len(b) for b in result.buckets)
             elif result.partial is not None:

@@ -25,11 +25,16 @@ from __future__ import annotations
 import time
 
 from repro.exec import exchange
-from repro.exec.batch import ColumnBatch, make_mask_kernel, make_value_kernel
-from repro.exec.encoded import EncodedColumn
+from repro.exec.batch import (
+    _compile,
+    accumulate_batches,
+    apply_masks,
+    make_mask_kernel,
+    make_value_kernel,
+    project_batch,
+)
 from repro.exec.scan import scan_batches
-from repro.exec.spill import SpillableHashTable
-from repro.exec.volcano import PerSlice, VolcanoExecutor, _compile, scan_column_names
+from repro.exec.volcano import PerSlice, VolcanoExecutor, scan_column_names
 from repro.plan.physical import (
     JoinDistribution,
     PhysicalAggregate,
@@ -140,7 +145,7 @@ class VectorizedExecutor(VolcanoExecutor):
                         # Scan output is counted pre-filter, matching the
                         # row executors' accounting.
                         stat.rows += batch.count
-                    batch = _apply_masks(batch, masks)
+                    batch = apply_masks(batch, masks)
                     if batch is not None:
                         slice_batches.append(batch)
             out.append(slice_batches)
@@ -159,7 +164,7 @@ class VectorizedExecutor(VolcanoExecutor):
             if isinstance(rows, BatchList):
                 filtered = BatchList()
                 for batch in rows:
-                    batch = _apply_masks(batch, (mask,))
+                    batch = apply_masks(batch, (mask,))
                     if batch is not None:
                         filtered.append(batch)
                 out.append(filtered)
@@ -176,21 +181,13 @@ class VectorizedExecutor(VolcanoExecutor):
         out: PerSlice = []
         for rows in child:
             if isinstance(rows, BatchList):
-                projected = BatchList()
-                for batch in rows:
-                    projected.append(
-                        ColumnBatch(
-                            [kernel(batch) for kernel in kernels], batch.count
-                        )
-                    )
-                out.append(projected)
+                out.append(
+                    BatchList(project_batch(batch, kernels) for batch in rows)
+                )
             else:
                 if exprs is None:
                     exprs = [_compile(e) for e in node.expressions]
-                fns = exprs
-                out.append(
-                    tuple(fn(row) for fn in fns) for row in rows
-                )
+                out.append(tuple(fn(row) for fn in exprs) for row in rows)
         return out
 
     # ---- aggregate -----------------------------------------------------------
@@ -211,7 +208,7 @@ class VectorizedExecutor(VolcanoExecutor):
         for s, rows in enumerate(child):
             states = self._agg_states(node, s, aggregates)
             if isinstance(rows, BatchList):
-                self._accumulate_batches(
+                accumulate_batches(
                     states, rows, group_kernels, arg_kernels, aggregates
                 )
             else:
@@ -237,65 +234,6 @@ class VectorizedExecutor(VolcanoExecutor):
             rows if isinstance(rows, (BatchList, list)) else list(rows)
             for rows in per_slice
         ]
-
-    @staticmethod
-    def _accumulate_batches(
-        states: dict, batches: "BatchList", group_kernels, arg_kernels, aggregates
-    ) -> None:
-        n_aggs = len(aggregates)
-        for batch in batches:
-            count = batch.count
-            if count == 0:
-                continue
-            arg_vectors = [
-                None if kernel is None else kernel(batch)
-                for kernel in arg_kernels
-            ]
-            if not group_kernels:
-                # Global aggregation: fold whole vectors into one state.
-                entry = states.get(())
-                if entry is None:
-                    entry = [agg.create() for agg in aggregates]
-                    states[()] = entry
-                for i in range(n_aggs):
-                    agg = aggregates[i]
-                    vector = arg_vectors[i]
-                    if vector is None:
-                        # COUNT(*): every row counts once.
-                        entry[i] = agg.merge(entry[i], count)
-                    elif (
-                        type(vector) is EncodedColumn
-                        and vector.is_rle
-                        and vector.foldable_runs()
-                    ):
-                        # Operate-on-compressed: fold whole RLE runs
-                        # without expanding them (NULL runs are omitted,
-                        # matching SQL aggregate NULL skipping).
-                        state = entry[i]
-                        for value, run in vector.runs():
-                            state = agg.accumulate_run(state, value, run)
-                        entry[i] = state
-                    else:
-                        entry[i] = agg.accumulate_many(entry[i], vector)
-                continue
-            key_columns = [kernel(batch) for kernel in group_kernels]
-            if len(key_columns) == 1:
-                single = key_columns[0]
-                keys = [(value,) for value in single]
-            else:
-                keys = list(zip(*key_columns))
-            for j in range(count):
-                key = keys[j]
-                entry = states.get(key)
-                if entry is None:
-                    entry = [agg.create() for agg in aggregates]
-                    states[key] = entry
-                for i in range(n_aggs):
-                    agg = aggregates[i]
-                    vector = arg_vectors[i]
-                    entry[i] = agg.accumulate(
-                        entry[i], 1 if vector is None else vector[j]
-                    )
 
     # ---- hash join ----------------------------------------------------------
 
@@ -341,12 +279,8 @@ class VectorizedExecutor(VolcanoExecutor):
             )
             probe = self._one_copy(probe_node, probe)
         else:  # DS_DIST_INNER: redistribute the build side by its key.
-            bk = build_keys[0]
-            build = exchange.shuffle(
-                super()._one_copy(build_node, build),
-                lambda row: row[bk],
-                self._ctx,
-                build_width,
+            build = self._shuffle_side(
+                build_node, build, build_keys[0], build_width
             )
 
         residual = (
@@ -359,57 +293,25 @@ class VectorizedExecutor(VolcanoExecutor):
 
         out: PerSlice = []
         for s in range(self._ctx.slice_count):
-            # Same governed build as the row path (never FULL here, so
-            # grace-hash partitioning is always order-safe).
-            state = self._spill_state()
-            spill_table = None
-            if state is not None:
-                budget, manager = state
-                disk = self._ctx.slices[s].disk
-                spill_table = SpillableHashTable(
-                    budget,
-                    manager.file_factory(disk),
-                    self._spill_label(node, s),
+            table, spill_table = self._build_hash_table(
+                node, build[s], build_keys, s
+            )
+            probe_slice = (
+                self._probe_batches
+                if isinstance(probe[s], BatchList)
+                else self._probe_rows
+            )
+            out.append(
+                probe_slice(
+                    node,
+                    probe[s],
+                    table,
+                    probe_keys,
+                    residual,
+                    build_null,
+                    preserve_probe,
                 )
-                for row in build[s]:
-                    key = tuple(row[i] for i in build_keys)
-                    if any(v is None for v in key):
-                        continue  # NULL never equals anything
-                    spill_table.insert(key, row)
-                table = spill_table.build()
-                self._note_spill(node, spill_table, disk.disk_id)
-            else:
-                table = {}
-                for row in build[s]:
-                    key = tuple(row[i] for i in build_keys)
-                    if any(v is None for v in key):
-                        continue  # NULL never equals anything
-                    table.setdefault(key, []).append(row)
-            probe_sl = probe[s]
-            if isinstance(probe_sl, BatchList):
-                out.append(
-                    self._probe_batches(
-                        node,
-                        probe_sl,
-                        table,
-                        probe_keys,
-                        residual,
-                        build_null,
-                        preserve_probe,
-                    )
-                )
-            else:
-                out.append(
-                    self._probe_rows(
-                        node,
-                        probe_sl,
-                        table,
-                        probe_keys,
-                        residual,
-                        build_null,
-                        preserve_probe,
-                    )
-                )
+            )
             if spill_table is not None:
                 spill_table.done()
         return out
@@ -515,15 +417,3 @@ class VectorizedExecutor(VolcanoExecutor):
             else:
                 results.append(build_null + probe)
 
-
-def _apply_masks(batch: ColumnBatch, masks) -> ColumnBatch | None:
-    """Filter *batch* through mask kernels; None when nothing survives."""
-    for kernel in masks:
-        mask = kernel(batch)
-        if all(mask):
-            continue
-        selection = [i for i, keep in enumerate(mask) if keep]
-        if not selection:
-            return None
-        batch = batch.take(selection)
-    return batch if batch.count else None

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from repro.errors import ExecutionError
 from repro.exec import exchange
+from repro.exec.batch import _compile
 from repro.exec.context import ExecutionContext, OperatorStat, SpillEvent
 from repro.exec.scan import scan_rows
 from repro.exec.spill import (
@@ -40,18 +41,9 @@ from repro.plan.physical import (
     assign_steps,
 )
 from repro.sql import ast
-from repro.sql.expressions import compile_expression
 from repro.storage.chain import ScanStats
 
 PerSlice = list
-
-
-def _no_unresolved(ref: ast.ColumnRef) -> int:
-    raise ExecutionError(f"unresolved column reference {ref.to_sql()!r}")
-
-
-def _compile(expr: ast.Expression):
-    return compile_expression(expr, _no_unresolved)
 
 
 class VolcanoExecutor:
@@ -460,6 +452,45 @@ class VolcanoExecutor:
             width,
         )
 
+    def _build_hash_table(
+        self,
+        node: PhysicalHashJoin,
+        build_rows: list,
+        build_keys: list[int],
+        slice_index: int,
+    ) -> tuple[dict, SpillableHashTable | None]:
+        """One slice's join table, ``key -> [build rows]`` (a NULL key
+        never equals anything and is left out), shared by every engine's
+        hash join. Governed queries build through a
+        :class:`SpillableHashTable`, returned so the caller can
+        ``done()`` it after probing. FULL joins emit unmatched build rows
+        in table order, which a grace-hash repartition would reshuffle —
+        they stay in memory."""
+        state = (
+            self._spill_state() if node.kind is not ast.JoinKind.FULL else None
+        )
+        if state is None:
+            table: dict = {}
+            for row in build_rows:
+                key = tuple(row[i] for i in build_keys)
+                if not any(v is None for v in key):
+                    table.setdefault(key, []).append(row)
+            return table, None
+        budget, manager = state
+        disk = self._ctx.slices[slice_index].disk
+        spill_table = SpillableHashTable(
+            budget,
+            manager.file_factory(disk),
+            self._spill_label(node, slice_index),
+        )
+        for row in build_rows:
+            key = tuple(row[i] for i in build_keys)
+            if not any(v is None for v in key):
+                spill_table.insert(key, row)
+        table = spill_table.build()
+        self._note_spill(node, spill_table, disk.disk_id)
+        return table, spill_table
+
     def _join_slice(
         self,
         node: PhysicalHashJoin,
@@ -479,33 +510,9 @@ class VolcanoExecutor:
         build_keys = right_keys if build_right else left_keys
         probe_keys = left_keys if build_right else right_keys
 
-        # FULL joins emit unmatched build rows in table order, which a
-        # grace-hash repartition would reshuffle — they stay in memory
-        # (both serial engines special-case FULL already).
-        state = self._spill_state() if kind is not ast.JoinKind.FULL else None
-        spill_table = None
-        if state is not None:
-            budget, manager = state
-            disk = self._ctx.slices[slice_index].disk
-            spill_table = SpillableHashTable(
-                budget,
-                manager.file_factory(disk),
-                self._spill_label(node, slice_index),
-            )
-            for row in build_rows:
-                key = tuple(row[i] for i in build_keys)
-                if any(v is None for v in key):
-                    continue  # NULL never equals anything
-                spill_table.insert(key, row)
-            table = spill_table.build()
-            self._note_spill(node, spill_table, disk.disk_id)
-        else:
-            table = {}
-            for row in build_rows:
-                key = tuple(row[i] for i in build_keys)
-                if any(v is None for v in key):
-                    continue  # NULL never equals anything
-                table.setdefault(key, []).append(row)
+        table, spill_table = self._build_hash_table(
+            node, build_rows, build_keys, slice_index
+        )
 
         preserve_probe = (
             (kind is ast.JoinKind.LEFT and build_right)

@@ -6,12 +6,13 @@ and runs them on a pool of workers. On Linux the pool is a fork-based
 ``ProcessPoolExecutor``: forked children inherit the leader's in-memory
 slice stores through :data:`_SLICES` (a module-level registry populated
 before the fork), so a task ships only a small :class:`MorselTask` spec
-and a result ships only partial-aggregate states or a bounded row list.
-Pooled row pipelines pack that list columnar into typed ``array``
-vectors (:class:`PackedRows`) before it crosses the pipe: uniform
-int/float columns pickle as flat machine bytes instead of N tuples of
-boxed values, the same typed-vector representation the block format
-uses at rest.
+and a result ships only partial-aggregate states or a bounded list of
+plain-list column batches. A morsel is the serial vectorized engine's
+batch pipeline over a block range: the same cursor, kernels and
+per-batch steps (:mod:`repro.exec.batch`). Workers pass the cursor **no
+decode cache**, in any pool mode: a fork child's cache is a private copy,
+and its hits (which skip the disk charge and the byte accounting) would
+make serial, thread and fork runs disagree stat-for-stat.
 Where fork is unavailable a ``ThreadPoolExecutor`` runs the same tasks
 against shared memory.
 
@@ -34,26 +35,22 @@ import itertools
 import multiprocessing
 import threading
 import time
-from array import array
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.engine.transactions import Snapshot
 from repro.errors import ExecutionError, WorkerCrashError
-from repro.exec.scan import scan_rows
+from repro.exec.batch import (
+    accumulate_batches,
+    apply_masks,
+    make_mask_kernel,
+    make_value_kernel,
+    project_batch,
+)
+from repro.exec.scan import scan_batches
 from repro.exec.spill import MemoryBudget, SpillLog, SpillableAggregateStates
-from repro.sql import ast
-from repro.sql.expressions import compile_expression
 from repro.storage import epoch
 from repro.storage.chain import ScanStats
-
-
-def _no_unresolved(ref: ast.ColumnRef) -> int:
-    raise ExecutionError(f"unresolved column reference {ref.to_sql()!r}")
-
-
-def _compile(expr: ast.Expression):
-    return compile_expression(expr, _no_unresolved)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +89,8 @@ def unregister_slices(registry_id: int) -> None:
 class PipelineSpec:
     """A fused scan pipeline, self-contained and picklable.
 
-    Expressions travel as AST nodes and are compiled inside the worker
-    (compiled closures don't pickle). ``stages`` are applied bottom-up
+    Expressions travel as AST nodes and become batch kernels inside the
+    worker (compiled closures don't pickle). ``stages`` are applied bottom-up
     above the scan's own pushed-down ``filters``; each is ``("filter",
     condition)`` or ``("project", expressions)``. When ``group_exprs``
     is not None the pipeline ends in partial aggregation and the result
@@ -117,13 +114,14 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class MorselTask:
-    """One schedulable unit: a block range of one slice's shard."""
+    """One schedulable unit: a block range of one slice's shard
+    (``block_end`` None = through the last sealed block the worker sees)."""
 
     registry_id: int
     slice_index: int
     slice_id: str
     block_start: int
-    block_end: int
+    block_end: int | None
     include_tail: bool
     pipeline: PipelineSpec
     snapshot: Snapshot
@@ -134,68 +132,18 @@ class MorselTask:
     #: over this spill their state map against an op log the leader
     #: replays through the slice's disk accounting.
     memory_limit: int = 0
-    #: Pack row-pipeline output into :class:`PackedRows` before shipping.
-    #: Set only on tasks submitted to a pool — inline leader runs and
-    #: crash/overflow re-runs keep plain lists (nothing crosses a pipe).
-    pack_rows: bool = False
-
-
-@dataclass
-class PackedRows:
-    """Row-pipeline output packed columnar for the pool boundary.
-
-    Typed ``array`` columns pickle as one flat machine-byte buffer, so
-    shipping N uniform int/float rows through the fork pipe costs one
-    buffer copy instead of N pickled tuples of boxed values. Columns
-    that are not uniformly plain 64-bit int / float stay plain lists.
-    Unpacking with :func:`unpack_rows` is bit-identical: ``array('q')``
-    and ``array('d')`` round-trip plain Python ints/floats exactly.
-    """
-
-    count: int
-    columns: list
-
-
-def pack_rows(rows: list) -> PackedRows:
-    """Transpose *rows* into typed columns where value types allow."""
-    columns = []
-    if rows:
-        columns = [_pack_column(col) for col in zip(*rows)]
-    return PackedRows(count=len(rows), columns=columns)
-
-
-def _pack_column(values):
-    first = values[0]
-    if type(first) is int:
-        for v in values:
-            if type(v) is not int:
-                return list(values)
-        try:
-            return array("q", values)
-        except OverflowError:
-            return list(values)
-    if type(first) is float:
-        for v in values:
-            if type(v) is not float:
-                return list(values)
-        return array("d", values)
-    return list(values)
-
-
-def unpack_rows(packed: PackedRows) -> list:
-    """Back to the list-of-tuples shape the leader's assembly expects."""
-    if not packed.columns:
-        return [()] * packed.count
-    return list(zip(*packed.columns))
+    #: The session's ``enable_encoded_scan``: the cursor hands the
+    #: kernels whitelisted codecs undecoded, as in the vectorized engine.
+    encoded: bool = False
 
 
 @dataclass
 class MorselResult:
     """What a worker ships back for one morsel."""
 
-    #: Pipeline output rows (row pipelines): a list, a
-    #: :class:`PackedRows` when the task asked for packing, or None.
-    rows: "list | PackedRows | None" = None
+    #: Pipeline output (row pipelines): plain-list ColumnBatches in scan
+    #: order — never an EncodedColumn, see ColumnBatch.decoded — or None.
+    batches: list | None = None
     #: Per-destination-slice row buckets (partition pipelines), or None.
     buckets: list | None = None
     #: Per-group partial aggregate states (aggregate pipelines), or None.
@@ -207,10 +155,10 @@ class MorselResult:
     #: Rows the raw scan produced (pre-filter; feeds the scan step stat).
     scanned_rows: int = 0
     #: Rows emitted after each pipeline stage, in stage order.
-    stage_rows: tuple = ()
+    stage_rows: list = field(default_factory=list)
     elapsed_us: int = 0
-    #: Row pipeline exceeded row_ship_limit: everything else is unset and
-    #: the leader re-executes the morsel locally.
+    #: Row pipeline exceeded row_ship_limit: no output is set and the
+    #: leader re-executes the morsel locally.
     overflow: bool = False
     #: Spill ("write"|"read"|"delete", nbytes) ops in execution order —
     #: replayed through the leader's disk accounting like io_log — plus
@@ -241,10 +189,19 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
         )
     store = slices[task.slice_index]
     shard = store.shard(pipeline.table)
-    stats = ScanStats()
-    io_log: list[int] = []
-    rows = list(
-        scan_rows(
+    masks = [make_mask_kernel(f) for f in pipeline.filters]
+    stages = [
+        (True, (make_mask_kernel(payload),))
+        if kind == "filter"
+        else (False, [make_value_kernel(expr) for expr in payload])
+        for kind, payload in pipeline.stages
+    ]
+    result = MorselResult(stage_rows=[0] * len(stages))
+
+    def surviving():
+        """The morsel's batches after the pushed-down filters and every
+        stage, counting rows at each boundary as they stream by."""
+        for batch in scan_batches(
             shard,
             pipeline.column_names,
             pipeline.zone_predicates,
@@ -252,36 +209,25 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             block_start=task.block_start,
             block_end=task.block_end,
             include_tail=task.include_tail,
-            stats=stats,
-            charge=io_log.append,
-        )
-    )
-    scanned = len(rows)
-    for condition in pipeline.filters:
-        predicate = _compile(condition)
-        rows = [row for row in rows if predicate(row) is True]
-    stage_rows = []
-    for kind, payload in pipeline.stages:
-        if kind == "filter":
-            predicate = _compile(payload)
-            rows = [row for row in rows if predicate(row) is True]
-        else:  # project
-            fns = [_compile(expr) for expr in payload]
-            rows = [tuple(fn(row) for fn in fns) for row in rows]
-        stage_rows.append(len(rows))
+            stats=result.scan,
+            charge=result.io_log.append,
+            encoded=task.encoded,
+        ):
+            result.scanned_rows += batch.count
+            batch = apply_masks(batch, masks)
+            for i, (is_filter, kernels) in enumerate(stages):
+                if batch is None:
+                    break
+                if is_filter:
+                    batch = apply_masks(batch, kernels)
+                else:
+                    batch = project_batch(batch, kernels)
+                if batch is not None:
+                    result.stage_rows[i] += batch.count
+            if batch is not None:
+                yield batch
 
-    result = MorselResult(
-        scan=stats,
-        io_log=io_log,
-        scanned_rows=scanned,
-        stage_rows=tuple(stage_rows),
-    )
     if pipeline.group_exprs is not None:
-        group_fns = [_compile(expr) for expr in pipeline.group_exprs]
-        arg_fns = [
-            _compile(arg) if arg is not None else None
-            for _, arg in pipeline.aggregates
-        ]
         aggregates = [agg for agg, _ in pipeline.aggregates]
         spill_log = None
         if task.memory_limit:
@@ -296,15 +242,16 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             )
         else:
             states = {}
-        for row in rows:
-            key = tuple(fn(row) for fn in group_fns)
-            entry = states.get(key)
-            if entry is None:
-                entry = [agg.create() for agg in aggregates]
-                states[key] = entry
-            for i, agg in enumerate(aggregates):
-                fn = arg_fns[i]
-                entry[i] = agg.accumulate(entry[i], 1 if fn is None else fn(row))
+        accumulate_batches(
+            states,
+            surviving(),
+            [make_value_kernel(expr) for expr in pipeline.group_exprs],
+            [
+                make_value_kernel(arg) if arg is not None else None
+                for _, arg in pipeline.aggregates
+            ],
+            aggregates,
+        )
         if spill_log is not None:
             result.partial = states.finish()
             result.spill_log = spill_log.ops
@@ -313,26 +260,25 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             result.spill_bytes_read = states.bytes_read
         else:
             result.partial = states
-    elif pipeline.partition_slices:
-        from repro.distribution.hashing import stable_hash
-
-        if task.row_ship_limit and len(rows) > task.row_ship_limit:
+    else:
+        batches = list(surviving())
+        if task.row_ship_limit and (
+            sum(batch.count for batch in batches) > task.row_ship_limit
+        ):
             result.overflow = True
-        else:
+        elif pipeline.partition_slices:
+            from repro.distribution.hashing import stable_hash
+
             buckets: list[list] = [[] for _ in range(pipeline.partition_slices)]
             key = pipeline.partition_key
-            for row in rows:
-                buckets[stable_hash(row[key]) % pipeline.partition_slices].append(
-                    row
-                )
+            for batch in batches:
+                for row in batch.rows():
+                    buckets[
+                        stable_hash(row[key]) % pipeline.partition_slices
+                    ].append(row)
             result.buckets = buckets
-    else:
-        if task.row_ship_limit and len(rows) > task.row_ship_limit:
-            result.overflow = True
-        elif task.pack_rows:
-            result.rows = pack_rows(rows)
         else:
-            result.rows = rows
+            result.batches = [batch.decoded() for batch in batches]
     result.elapsed_us = int((time.perf_counter() - started) * 1_000_000)
     return result
 
@@ -387,8 +333,11 @@ class WorkerPool:
             epoch.table_epoch(table) > self.epoch for table in tables
         )
 
-    def close(self) -> None:
-        self._pool.shutdown(wait=True, cancel_futures=True)
+    def close(self, wait: bool = False) -> None:
+        """Stop taking morsels (a later ``submit`` raises RuntimeError).
+        Those already submitted still run — another session may be
+        waiting on them; *wait* blocks until the workers have exited."""
+        self._pool.shutdown(wait=wait)
 
 
 class PoolManager:
@@ -396,7 +345,8 @@ class PoolManager:
 
     Owned by the cluster so consecutive queries reuse warm workers; a
     storage mutation between queries just costs one re-fork (cheap on
-    Linux: copy-on-write, no state to ship).
+    Linux: copy-on-write, no state to ship). Sessions share the pool, so
+    replacing it never cancels or waits for another session's morsels.
     """
 
     def __init__(self) -> None:
@@ -436,12 +386,12 @@ class PoolManager:
             self.forks += 1
             return self._pool
 
-    def invalidate(self) -> None:
+    def invalidate(self, wait: bool = False) -> None:
         """Drop the cached pool (e.g. after a BrokenProcessPool)."""
         with self._lock:
             if self._pool is not None:
-                self._pool.close()
+                self._pool.close(wait)
                 self._pool = None
 
     def close(self) -> None:
-        self.invalidate()
+        self.invalidate(wait=True)

@@ -3,13 +3,11 @@
 Covers the EncodedColumn kernels against hand-built blocks (dictionary
 masks with escapes and NULL splicing, RLE folds, MOSTLY image
 comparisons, late-materializing gather), the zone-map ``must_satisfy``
-dual, the decode cache's non-decoding ``peek``, the typed packed-row
-pool shipping, the ``accumulate_run`` fold contracts, and the observable
-surface: ``svl_scan_encoding``, the svl_query_summary columns, EXPLAIN
-ANALYZE annotations and ``SET enable_encoded_scan`` validation.
+dual, the decode cache's non-decoding ``peek``, the ``accumulate_run``
+fold contracts, and the observable surface: ``svl_scan_encoding``, the
+svl_query_summary columns, EXPLAIN ANALYZE annotations and
+``SET enable_encoded_scan`` validation.
 """
-
-from array import array
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.compression import codec_by_name
 from repro.datatypes import INTEGER
 from repro.errors import AnalysisError
 from repro.exec.encoded import EncodedColumn, supports_block
-from repro.exec.workers import PackedRows, pack_rows, unpack_rows
 from repro.sql.functions import make_aggregate
 from repro.storage.block import Block
 from repro.storage.blockcache import BlockDecodeCache
@@ -170,31 +167,6 @@ class TestDecodeCachePeek:
         cache.lookup(block)
         assert cache.peek(block) == [1, 2, 3]
         assert cache.hits == 1 and cache.misses == 1
-
-
-class TestPackedRows:
-    def test_int_and_float_columns_pack_typed(self):
-        rows = [(1, 1.5, "a"), (2, 2.5, "b")]
-        packed = pack_rows(rows)
-        assert isinstance(packed.columns[0], array)
-        assert packed.columns[0].typecode == "q"
-        assert packed.columns[1].typecode == "d"
-        assert isinstance(packed.columns[2], list)
-        assert unpack_rows(packed) == rows
-
-    def test_mixed_and_overflow_columns_stay_lists(self):
-        rows = [(1,), (None,)]
-        assert isinstance(pack_rows(rows).columns[0], list)
-        big = [(2**70,), (1,)]
-        assert isinstance(pack_rows(big).columns[0], list)
-        assert unpack_rows(pack_rows(big)) == big
-        bools = [(True,), (False,)]  # bool is not int for packing
-        assert isinstance(pack_rows(bools).columns[0], list)
-        assert unpack_rows(pack_rows(bools)) == bools
-
-    def test_empty_and_zero_width(self):
-        assert unpack_rows(pack_rows([])) == []
-        assert unpack_rows(PackedRows(count=2, columns=[])) == [(), ()]
 
 
 class TestAccumulateRun:
