@@ -640,22 +640,11 @@ class RedshiftService:
     @staticmethod
     def _read_table_rows(cluster: Cluster, table_name: str):
         """All visible rows of a table (resize source is read-only)."""
-        from repro.distribution.diststyle import DistStyle
-        from repro.exec.scan import scan_rows
-
         info = cluster.catalog.table(table_name)
-        snapshot = cluster.transactions.snapshot_latest()
         rows: list[tuple] = []
-        for store in cluster.slice_stores:
-            if not store.has_shard(table_name):
-                continue
-            rows.extend(
-                scan_rows(
-                    store.shard(table_name), info.column_names, [], snapshot
-                )
-            )
-            if info.distribution.style is DistStyle.ALL:
-                break
+        snapshot = cluster.transactions.snapshot_latest()
+        for _, batch in cluster.scan_table(info, snapshot, one_replica=True):
+            rows.extend(batch.rows())
         return rows
 
     # ---- node replacement -------------------------------------------------------------------

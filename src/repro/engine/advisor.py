@@ -46,9 +46,6 @@ class Recommendation:
     suggested: str
     rationale: str
 
-    def as_ddl_fragment(self) -> str:
-        return self.suggested
-
 
 class TuningAdvisor:
     """Derives design recommendations from workload + statistics."""

@@ -82,9 +82,6 @@ class TableInfo:
                 return i
         raise ColumnNotFoundError(name, self.name)
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     @property
     def row_byte_width(self) -> int:
         """Nominal uncompressed bytes per row, used by network accounting."""
@@ -111,9 +108,6 @@ class Catalog:
 
     def is_system_table(self, name: str) -> bool:
         return name in self._system_tables
-
-    def system_table_names(self) -> list[str]:
-        return sorted(self._system_tables)
 
     def create_table(self, info: TableInfo) -> None:
         if info.name in self._system_tables:

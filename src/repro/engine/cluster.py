@@ -370,6 +370,37 @@ class Cluster:
                 if store.has_shard(table_name):
                     store.shard(table_name).seal()
 
+    def scan_table(
+        self,
+        table: TableInfo,
+        snapshot,
+        column_names: Sequence[str | None] | None = None,
+        zone_predicates: Sequence[tuple[int, str, object]] = (),
+        *,
+        one_replica: bool = False,
+        **cursor,
+    ):
+        """Yield ``(slice index, batch)`` per block of *table* with a row
+        *snapshot* sees — the slice walk of every whole-table reader
+        outside the executors (DML, ANALYZE, resize), over the block
+        cursor whose arguments these are; *column_names* default to all.
+        *one_replica* stops after the first shard of a DISTSTYLE ALL
+        table: each holds every logical row."""
+        from repro.exec.scan import scan_batches
+
+        if column_names is None:
+            column_names = table.column_names
+        for index, store in enumerate(self.slice_stores):
+            if not store.has_shard(table.name):
+                continue
+            shard = store.shard(table.name)
+            for batch in scan_batches(
+                shard, column_names, zone_predicates, snapshot, **cursor
+            ):
+                yield index, batch
+            if one_replica and table.distribution.style is DistStyle.ALL:
+                return
+
     # ---- COPY sources ---------------------------------------------------------------
 
     def register_source(self, prefix: str, provider: SourceProvider) -> None:

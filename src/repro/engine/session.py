@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.compression.analyzer import CompressionAnalyzer
 from repro.datatypes.parsing import parse_literal
-from repro.datatypes.types import type_from_name, varchar_type
+from repro.datatypes.types import type_from_name
 from repro.distribution.diststyle import DistStyle, make_distribution
 from repro.engine.catalog import (
     ColumnInfo,
@@ -34,22 +34,29 @@ from repro.errors import (
     QueryRetryExhaustedError,
     ReproError,
     SpillCapacityError,
-    TableNotFoundError,
     TransactionError,
 )
 from repro.exec import workers
+from repro.exec.batch import ColumnBatch, apply_masks, make_mask_kernel
 from repro.exec.codegen import CompiledExecutor
-from repro.exec.context import ExecutionContext, ParallelConfig, QueryStats
+from repro.exec.context import (
+    ExecutionContext,
+    OperatorStat,
+    ParallelConfig,
+    QueryStats,
+)
 from repro.exec.spill import MemoryBudget
 from repro.exec.parallel import ParallelExecutor
+from repro.exec.scan import ROW_OFFSET, scan_batches
 from repro.exec.vectorized import VectorizedExecutor
-from repro.exec.volcano import VolcanoExecutor
-from repro.plan.binder import Binder, infer_type
+from repro.exec.volcano import VolcanoExecutor, scan_column_names
+from repro.plan.binder import Binder
 from repro.plan.physical import PhysicalPlanner, PhysicalScan, explain
 from repro.sql import ast
-from repro.sql.expressions import compile_expression, literal_value
+from repro.sql.expressions import compile_expression
 from repro.sql.hll import HyperLogLog
 from repro.sql.parser import parse_statement, parse_statements
+from repro.sql.subqueries import expand_in_expression, expand_subqueries
 from repro.storage import epoch
 from repro.util.fingerprint import result_fingerprint
 
@@ -497,8 +504,6 @@ class Session:
             self._select_depth -= 1
 
     def _select(self, query, xid: int, top_level: bool) -> QueryResult:
-        from repro.sql.subqueries import expand_subqueries
-
         expand_subqueries(
             query, lambda inner: self._run_select(inner, xid).rows
         )
@@ -666,8 +671,6 @@ class Session:
     ) -> QueryResult:
         """Answer a SELECT from the result cache: no execution, and no
         WLM admission — the gate records a bypass instead."""
-        from repro.exec.context import OperatorStat
-
         stats = QueryStats()
         stats.executor = entry.executor
         stats.plan_text = plan_text
@@ -859,7 +862,7 @@ class Session:
         result = self._run_select(statement.query, xid)
         logical = self._binder.bind_select(statement.query)
         columns = [
-            ColumnInfo(name=c.name, sql_type=_storable_type(c.sql_type))
+            ColumnInfo(name=c.name, sql_type=c.sql_type)
             for c in logical.output
         ]
         info = TableInfo(
@@ -937,82 +940,76 @@ class Session:
         by_name = dict(zip(target_columns, row))
         return tuple(by_name.get(c.name) for c in table.columns)
 
-    def _matching_offsets(
-        self, table: TableInfo, where: ast.Expression | None, xid: int
-    ) -> list[tuple[int, list[int], list[tuple]]]:
-        """Per-slice (slice index, row offsets, row tuples) matching WHERE."""
-        snapshot = self._cluster.transactions.snapshot(xid)
-        predicate = None
+    def _delete_matching(
+        self, table: TableInfo, where: ast.Expression | None, xid: int, select
+    ) -> tuple[list[tuple[int, ColumnBatch]], QueryStats]:
+        """Tombstone the rows of *table* matching WHERE. Returns them as
+        ``(slice index, batch)`` pairs, and the scan's stats as one plan
+        step. The plan of ``SELECT <select> FROM table WHERE ...`` supplies
+        live columns, zone predicates and filters; a batch holds that
+        scan's columns (dead ones None) and, last, the row offsets."""
         if where is not None:
-            from repro.sql.subqueries import expand_in_expression
-
             where = expand_in_expression(
                 where, lambda inner: self._run_select(inner, xid).rows
             )
-            scope_plan = self._binder.bind_select(
-                ast.SelectQuery(
-                    items=[ast.SelectItem(ast.Star())],
-                    from_item=ast.TableRef(table.name),
-                    where=where,
-                )
-            )
-            # The bound filter sits under the projection.
-            condition = scope_plan.child.condition  # type: ignore[union-attr]
-            predicate = compile_expression(condition, _reject_column_refs)
-        results = []
-        dist_all = table.distribution.style is DistStyle.ALL
-        for index, store in enumerate(self._cluster.slice_stores):
-            if not store.has_shard(table.name):
-                continue
-            shard = store.shard(table.name)
-            columns = [shard.chain(c.name).read_all() for c in table.columns]
-            offsets: list[int] = []
-            rows: list[tuple] = []
-            for offset in range(shard.row_count):
-                if not snapshot.can_see(
-                    shard.insert_xids[offset], shard.delete_xids[offset]
-                ):
-                    continue
-                row = tuple(col[offset] for col in columns)
-                if predicate is None or predicate(row) is True:
-                    offsets.append(offset)
-                    rows.append(row)
-            results.append((index, offsets, rows))
-        return results
+        query = ast.SelectQuery(
+            [ast.SelectItem(select)], ast.TableRef(table.name), where
+        )
+        scan = self._planner.plan(self._binder.bind_select(query))
+        while not isinstance(scan, PhysicalScan):
+            (scan,) = scan.children
+        masks = [make_mask_kernel(f) for f in scan.filters]
+        stats = QueryStats()
+        step = OperatorStat(0, scan.label(), est_rows=scan.est_rows)
+        stats.operators.append(step)
+        transactions = self._cluster.transactions
+        matched = []
+        start = time.perf_counter()
+        # Match and mark under the storage lock: a concurrent VACUUM
+        # rewrite between the two would shuffle the offsets out from
+        # under the delete markers.
+        with self._cluster.storage_lock:
+            for index, batch in self._cluster.scan_table(
+                table,
+                transactions.snapshot(xid),
+                scan_column_names(scan) + [ROW_OFFSET],
+                scan.zone_predicates,
+                stats=stats.scan,
+            ):
+                step.rows += batch.count
+                batch = apply_masks(batch, masks)
+                if batch is not None:
+                    matched.append((index, batch))
+            for index, batch in matched:
+                store = self._cluster.slice_stores[index]
+                store.shard(table.name).mark_deleted(batch.columns[-1], xid)
+                for offset in batch.columns[-1]:
+                    transactions.record_delete(
+                        xid, table.name, store.slice_id, offset
+                    )
+        step.elapsed_us = int((time.perf_counter() - start) * 1_000_000)
+        step.blocks_read = stats.scan.blocks_read
+        step.blocks_skipped = stats.scan.blocks_skipped
+        step.bytes_read = stats.scan.bytes_read
+        return matched, stats
 
     def _delete(self, statement: ast.DeleteStatement, xid: int) -> QueryResult:
         table = self._require_user_table(statement.table, "DELETE")
         # DELETE never routes through distribute_rows, so register the
         # write here (commit/rollback re-bump the table's epoch).
         self._cluster.transactions.record_write(xid, table.name)
-        count = 0
-        logical_rows = 0
-        # Match and mark under the storage lock: a concurrent VACUUM
-        # rewrite between the two would shuffle the offsets out from
-        # under the delete markers.
-        with self._cluster.storage_lock:
-            matches = self._matching_offsets(table, statement.where, xid)
-            for slice_index, offsets, _rows in matches:
-                store = self._cluster.slice_stores[slice_index]
-                shard = store.shard(table.name)
-                shard.mark_deleted(offsets, xid)
-                for offset in offsets:
-                    self._cluster.transactions.record_delete(
-                        xid, table.name, store.slice_id, offset
-                    )
-                count += len(offsets)
+        # A constant select list: only the predicate's columns are read.
+        matched, stats = self._delete_matching(
+            table, statement.where, xid, ast.Literal(1)
+        )
+        count = sum(batch.count for _, batch in matched)
         if table.distribution.style is DistStyle.ALL:
-            slice_count = max(1, self._cluster.slice_count)
-            logical_rows = count // slice_count
-        else:
-            logical_rows = count
-        self._mark_stats_stale(table, -logical_rows)
-        return QueryResult(rowcount=logical_rows, command="DELETE")
+            count //= max(1, self._cluster.slice_count)
+        self._mark_stats_stale(table, -count)
+        return QueryResult(rowcount=count, stats=stats, command="DELETE")
 
     def _update(self, statement: ast.UpdateStatement, xid: int) -> QueryResult:
         table = self._require_user_table(statement.table, "UPDATE")
-        from repro.sql.subqueries import expand_in_expression
-
         assignment_fns = []
         scope = _table_scope(self._binder, table)
         for column_name, expr in statement.assignments:
@@ -1025,35 +1022,24 @@ class Session:
                 (table.column_index(column_name), compile_expression(bound, _reject_column_refs))
             )
         new_rows: list[tuple] = []
-        count = 0
-        seen_logical = table.distribution.style is not DistStyle.ALL
         # Delete-then-reinsert is atomic against other storage mutators
-        # (the lock is reentrant, so the nested distribute_rows is fine).
+        # (the lock is reentrant, so the nested takers are fine).
         with self._cluster.storage_lock:
-            matches = self._matching_offsets(table, statement.where, xid)
-            for slice_index, offsets, rows in matches:
-                store = self._cluster.slice_stores[slice_index]
-                shard = store.shard(table.name)
-                shard.mark_deleted(offsets, xid)
-                for offset in offsets:
-                    self._cluster.transactions.record_delete(
-                        xid, table.name, store.slice_id, offset
-                    )
-                if seen_logical or not new_rows:
-                    for row in rows:
-                        updated = list(row)
-                        for index, fn in assignment_fns:
-                            updated[index] = fn(row)
-                        new_rows.append(tuple(updated))
-                count += len(offsets)
+            matched, stats = self._delete_matching(
+                table, statement.where, xid, ast.Star()
+            )
+            if table.distribution.style is DistStyle.ALL:
+                # One replica's rows stand for the logical table.
+                matched = [m for m in matched if m[0] == matched[0][0]]
+            for _, batch in matched:
+                for row in zip(*batch.columns[:-1]):
+                    updated = list(row)
+                    for index, fn in assignment_fns:
+                        updated[index] = fn(row)
+                    new_rows.append(tuple(updated))
             self._cluster.distribute_rows(table, new_rows, xid)
         self._mark_stats_stale(table)
-        logical = (
-            len(new_rows)
-            if table.distribution.style is DistStyle.ALL
-            else count
-        )
-        return QueryResult(rowcount=logical, command="UPDATE")
+        return QueryResult(rowcount=len(new_rows), stats=stats, command="UPDATE")
 
     # ---- COPY ------------------------------------------------------------------------------
 
@@ -1147,37 +1133,24 @@ class Session:
         if statement.compression:
             if not statement.table:
                 raise AnalysisError("ANALYZE COMPRESSION requires a table name")
-            return self._analyze_compression(names[0])
+            return self._analyze_compression(names[0], xid)
         for name in names:
-            self._update_statistics(self._cluster.catalog.table(name))
+            self._update_statistics(self._cluster.catalog.table(name), xid)
         return QueryResult(command="ANALYZE")
 
-    def _analyze_compression(self, table_name: str) -> QueryResult:
+    def _analyze_compression(self, table_name: str, xid: int) -> QueryResult:
         table = self._cluster.catalog.table(table_name)
-        analyzer = CompressionAnalyzer()
-        vectors = []
+        vectors: list[list] = [[] for _ in table.columns]
+        snapshot = self._cluster.transactions.snapshot(xid)
+        for _, batch in self._cluster.scan_table(table, snapshot, one_replica=True):
+            for vector, values in zip(vectors, batch.columns):
+                vector.extend(values)
+        analyses = CompressionAnalyzer().analyze(table.column_specs, vectors)
+        rows = []
         for column in table.columns:
-            values: list[object] = []
-            for store in self._cluster.slice_stores:
-                if store.has_shard(table.name):
-                    values.extend(
-                        store.shard(table.name).chain(column.name).read_all()
-                    )
-            vectors.append(values)
-        analyses = analyzer.analyze(table.column_specs, vectors)
-        rows = [
-            (
-                column.name,
-                analyses[column.name].chosen_codec,
-                round(
-                    analyses[column.name]
-                    .trial(analyses[column.name].chosen_codec)
-                    .ratio_vs_raw,
-                    2,
-                ),
-            )
-            for column in table.columns
-        ]
+            analysis = analyses[column.name]
+            ratio = analysis.trial(analysis.chosen_codec).ratio_vs_raw
+            rows.append((column.name, analysis.chosen_codec, round(ratio, 2)))
         return QueryResult(
             columns=["column", "encoding", "est_reduction_ratio"],
             rows=rows,
@@ -1206,6 +1179,7 @@ class Session:
         self._cluster.transactions.record_write(xid, table.name)
         snapshot = self._cluster.transactions.snapshot(xid)
         sort_key = table.sort_key
+        key_columns = sort_key.columns if sort_key is not None else []
         # The rewrite replaces whole shards; the storage lock keeps
         # concurrent DML off the table while offsets are reshuffled.
         with self._cluster.storage_lock:
@@ -1215,25 +1189,21 @@ class Session:
                 shard = store.shard(table.name)
                 if shard.row_count == 0:
                     continue
-                visible = [
-                    offset
-                    for offset in range(shard.row_count)
-                    if snapshot.can_see(
-                        shard.insert_xids[offset], shard.delete_xids[offset]
-                    )
-                ]
+                visible: list[int] = []
+                key_vectors: list[list] = [[] for _ in key_columns]
+                for batch in scan_batches(
+                    shard, [*key_columns, ROW_OFFSET], [], snapshot
+                ):
+                    *keys, offsets = batch.columns
+                    visible.extend(offsets)
+                    for vector, values in zip(key_vectors, keys):
+                        vector.extend(values)
                 if not reclaim and len(visible) != shard.row_count:
                     # COPY-time sorting never drops rows others might see.
                     continue
+                order = visible
                 if sort_key is not None:
-                    key_vectors = []
-                    for column in sort_key.columns:
-                        values = shard.chain(column).read_all()
-                        key_vectors.append([values[i] for i in visible])
-                    order_local = sort_key.sort_order(key_vectors)
-                    order = [visible[i] for i in order_local]
-                else:
-                    order = visible
+                    order = [visible[i] for i in sort_key.sort_order(key_vectors)]
                 shard.rewrite_sorted(order, BOOTSTRAP_XID)
 
     # ---- statistics -------------------------------------------------------------------------
@@ -1251,62 +1221,41 @@ class Session:
         if delta_rows:
             stats.row_count = max(0, stats.row_count + delta_rows)
 
-    def _update_statistics(self, table: TableInfo, xid: int | None = None) -> None:
-        """Refresh optimizer statistics by scanning (ANALYZE / on-load).
-
-        When called mid-statement, *xid* makes the writing transaction's
-        own rows visible to the scan (the commit follows immediately).
-        """
-        if xid is not None:
-            snapshot = self._cluster.transactions.snapshot(xid)
-        else:
-            snapshot = self._cluster.transactions.snapshot_latest()
-        stats = TableStatistics(stale=False)
-        dist_all = table.distribution.style is DistStyle.ALL
-        hlls = {c.name: HyperLogLog(10) for c in table.columns}
-        lows: dict[str, object] = {}
-        highs: dict[str, object] = {}
-        nulls: dict[str, int] = {c.name: 0 for c in table.columns}
-        row_count = 0
-        for store in self._cluster.slice_stores:
-            if not store.has_shard(table.name):
-                continue
-            shard = store.shard(table.name)
-            visible = [
-                offset
-                for offset in range(shard.row_count)
-                if snapshot.can_see(
-                    shard.insert_xids[offset], shard.delete_xids[offset]
-                )
-            ]
-            row_count += len(visible)
-            for column in table.columns:
-                values = shard.chain(column.name).read_all()
-                hll = hlls[column.name]
-                for offset in visible:
-                    value = values[offset]
-                    if value is None:
-                        nulls[column.name] += 1
-                        continue
-                    hll.add(value)
-                    low = lows.get(column.name)
-                    if low is None or value < low:
-                        lows[column.name] = value
-                    high = highs.get(column.name)
-                    if high is None or value > high:
-                        highs[column.name] = value
-            stats.total_bytes += shard.encoded_bytes
-            if dist_all:
-                break  # one replica carries every logical row
-        stats.row_count = row_count
-        for column in table.columns:
-            stats.columns[column.name] = ColumnStatistics(
-                low=lows.get(column.name),
-                high=highs.get(column.name),
+    def _update_statistics(self, table: TableInfo, xid: int) -> None:
+        """Refresh optimizer statistics by scanning (ANALYZE / on-load)
+        under the statement's snapshot, so the writing transaction's own
+        rows count."""
+        stats = TableStatistics(
+            stale=False, total_bytes=self._cluster.table_bytes(table.name)
+        )
+        names = table.column_names
+        hlls = [HyperLogLog(10) for _ in names]
+        lows: list[object] = [None] * len(names)
+        highs: list[object] = [None] * len(names)
+        nulls = [0] * len(names)
+        snapshot = self._cluster.transactions.snapshot(xid)
+        for _, batch in self._cluster.scan_table(table, snapshot, one_replica=True):
+            stats.row_count += batch.count
+            for i, values in enumerate(batch.columns):
+                present = [value for value in values if value is not None]
+                nulls[i] += batch.count - len(present)
+                if not present:
+                    continue
+                for value in present:
+                    hlls[i].add(value)
+                low, high = min(present), max(present)
+                if lows[i] is None or low < lows[i]:
+                    lows[i] = low
+                if highs[i] is None or high > highs[i]:
+                    highs[i] = high
+        for i, name in enumerate(names):
+            stats.columns[name] = ColumnStatistics(
+                low=lows[i],
+                high=highs[i],
                 null_fraction=(
-                    nulls[column.name] / row_count if row_count else 0.0
+                    nulls[i] / stats.row_count if stats.row_count else 0.0
                 ),
-                distinct_count=hlls[column.name].cardinality(),
+                distinct_count=hlls[i].cardinality(),
             )
         table.statistics = stats
 
@@ -1371,11 +1320,6 @@ def _table_scope(binder: Binder, table: TableInfo):
             for i, c in enumerate(table.columns)
         ]
     )
-
-
-def _storable_type(sql_type):
-    """CTAS output columns keep their inferred type."""
-    return sql_type
 
 
 def _parse_json_row(

@@ -18,7 +18,7 @@ import enum
 import heapq
 from dataclasses import dataclass, field
 
-from repro.util.stats import mean, percentile
+from repro.util.stats import mean
 
 
 class AdmissionStatus(enum.Enum):
@@ -111,13 +111,6 @@ class QueueReport:
         return mean([o.wait_s for o in completed]) if completed else 0.0
 
     @property
-    def p95_wait_s(self) -> float:
-        completed = self.completed
-        if not completed:
-            return 0.0
-        return percentile([o.wait_s for o in completed], 95)
-
-    @property
     def max_queue_depth(self) -> int:
         """Peak number of queries waiting simultaneously."""
         events: list[tuple[float, int]] = []
@@ -157,10 +150,6 @@ class WorkloadManager:
         self._by_name = {q.name: q for q in self.queues}
         #: Optional repro.systables.SystemTables sink: each simulation
         #: refreshes stv_wlm_query_state and appends stl_wlm_rule_action.
-        self._systables = systables
-
-    def attach_systables(self, systables) -> None:
-        """Record simulation outcomes into *systables* from now on."""
         self._systables = systables
 
     def queue(self, name: str) -> QueueConfig:

@@ -29,6 +29,10 @@ from repro.exec.encoded import (
 from repro.storage.chain import ScanStats
 from repro.storage.slicestore import TableShard
 
+#: Pseudo-column name: its vector is each row's offset in the shard — the
+#: one thing DML needs (*which* row) that no chain stores.
+ROW_OFFSET = "<row offset>"
+
 
 def scan_blocks(
     shard: TableShard,
@@ -49,10 +53,12 @@ def scan_blocks(
     ``columns[i]`` is the block's vector for ``column_names[i]``. A
     ``None`` name is a dead column: its chain is never read and its slot
     stays None — the projection pushdown a columnar engine exists for
-    (only live chains cost IO). ``selection`` is None when all ``count``
-    rows are visible to *snapshot*, else the sorted positions that are;
-    blocks with no visible row are not yielded. Vectors are shared with
-    the decode cache — callers must not mutate them.
+    (only live chains cost IO); :data:`ROW_OFFSET` costs none either: its
+    vector is the block's ``range`` of shard row offsets. ``selection`` is
+    None when all ``count`` rows are visible to *snapshot*, else the
+    sorted positions that are; blocks with no visible row are not
+    yielded. Vectors are shared with the decode cache — callers must not
+    mutate them.
 
     ``zone_predicates`` hold (index into *column_names*, op, literal); a
     block is skipped when any predicate's zone map proves it empty of
@@ -90,20 +96,22 @@ def scan_blocks(
     chains = {
         position: shard.chain(name)
         for position, name in enumerate(column_names)
-        if name is not None
+        if name is not None and name != ROW_OFFSET
     }
+    offset_slots = [i for i, name in enumerate(column_names) if name == ROW_OFFSET]
     if not chains:
-        # Pure row-count scans (e.g. unfiltered COUNT(*)): no chain IO,
-        # one all-dead item sized by visibility metadata alone.
+        # Pure row-count scans (e.g. unfiltered COUNT(*) / DELETE): no
+        # chain IO, one item sized by visibility metadata alone.
         counts = [block.count for block in _any_chain_blocks(shard)]
         start = sum(counts[:block_start])
         offsets = chain(
             range(start, start + sum(counts[block_start:block_end])),
             range(sum(counts), shard.row_count) if include_tail else (),
         )
-        visible = sum(snapshot.can_see(xids[0][i], xids[1][i]) for i in offsets)
+        visible = [i for i in offsets if snapshot.can_see(xids[0][i], xids[1][i])]
         if visible:
-            yield [None] * width, None, visible
+            live = {ROW_OFFSET: visible}
+            yield [live.get(name) for name in column_names], None, len(visible)
         return
 
     sealed = {position: column.blocks for position, column in chains.items()}
@@ -160,6 +168,8 @@ def scan_blocks(
             if not hit and charge is not None:
                 charge(block.encoded_bytes)
             columns[position] = values
+        for position in offset_slots:
+            columns[position] = range(offset, offset + row_count)
         selection = _selection(xids, offset, row_count, snapshot)
         if selection is None or selection:
             yield columns, selection, row_count
@@ -176,6 +186,8 @@ def scan_blocks(
         for position, tail in tails.items():
             # Copied: the live buffer grows under concurrent inserts.
             columns[position] = tail[:tail_count]
+        for position in offset_slots:
+            columns[position] = range(offset, offset + tail_count)
         yield columns, selection, tail_count
     if stats is not None:
         stats.values_read += tail_count * len(chains)

@@ -59,23 +59,6 @@ def _checksum(vector: EncodedVector) -> int:
     return crc
 
 
-def _checksum_values(values: Sequence[object]) -> int:
-    """Legacy content checksum over decoded values (compat shim).
-
-    Blocks serialized before the payload checksum existed carry a CRC
-    computed this way; :meth:`Block.deserialize` tags them
-    ``checksum_kind="values"`` so they still verify. Each value is pickled
-    independently: pickling the list as a whole would memoize repeated
-    object references, making a run-length-decoded block (one shared
-    object) checksum differently from the originally parsed values
-    (distinct equal objects).
-    """
-    crc = 0
-    for value in values:
-        crc = zlib.crc32(pickle.dumps(value, protocol=4), crc)
-    return crc
-
-
 @dataclass
 class Block:
     """One immutable encoded column block.
@@ -84,18 +67,13 @@ class Block:
         block_id: globally unique id used by replication and backup.
         vector: the encoded values.
         zone_map: min/max summary used for block skipping.
-        checksum: CRC over the encoded payload bytes, verified on read
-            (legacy images checksum decoded values; see ``checksum_kind``).
+        checksum: CRC over the encoded payload bytes, verified on read.
     """
 
     block_id: str
     vector: EncodedVector
     zone_map: ZoneMap
     checksum: int
-    #: "payload" — checksum over encoded payload bytes (current format);
-    #: "values" — legacy per-value CRC walk over decoded values, kept so
-    #: pre-payload-checksum images (replicas, backups) still verify.
-    checksum_kind: str = "payload"
     #: True once the content passed checksum verification; reset whenever
     #: the content can have changed (corrupt()), so the hot read path pays
     #: the CRC pass once per block, not once per read.
@@ -166,18 +144,13 @@ class Block:
     def verify_checksum(self) -> None:
         """Verify block integrity, raising :class:`BlockCorruptionError`.
 
-        For payload-checksummed blocks this never decodes — the encoded
-        scan path verifies compressed vectors it will execute on directly.
+        This never decodes — the encoded scan path verifies compressed
+        vectors it will execute on directly.
         Verification is memoized per content; :meth:`corrupt` resets it.
         """
         if self._verified:
             return
-        if self.checksum_kind == "payload":
-            actual = _checksum(self.vector)
-        else:
-            codec = codec_by_name(self.vector.codec_name)
-            actual = _checksum_values(codec.decode(self.vector))
-        if actual != self.checksum:
+        if _checksum(self.vector) != self.checksum:
             raise BlockCorruptionError(
                 f"block {self.block_id} failed checksum verification"
             )
@@ -202,24 +175,22 @@ class Block:
                 "vector": self.vector,
                 "zone_map": self.zone_map,
                 "checksum": self.checksum,
-                "checksum_kind": self.checksum_kind,
+                "checksum_kind": "payload",
             },
             protocol=4,
         )
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Block":
-        """Reconstruct a block from :meth:`serialize` output.
-
-        Images produced before the payload checksum existed carry no
-        ``checksum_kind``; they verify through the legacy decoded-value
-        walk (see :func:`_checksum_values`).
-        """
+        """Reconstruct a block from :meth:`serialize` output."""
         fields = pickle.loads(data)
+        if fields["checksum_kind"] != "payload":
+            raise BlockCorruptionError(
+                f"block image checksum kind {fields['checksum_kind']!r}"
+            )
         return cls(
             block_id=fields["block_id"],
             vector=fields["vector"],
             zone_map=fields["zone_map"],
             checksum=fields["checksum"],
-            checksum_kind=fields.get("checksum_kind", "values"),
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster
+from repro.compression.analyzer import CompressionAnalyzer
 from repro.errors import CopyError
 
 
@@ -177,6 +178,33 @@ class TestAutoCompression:
         assert len(r.rows) == 6
         by_column = {row[0]: row for row in r.rows}
         assert by_column["seq"][1] != "raw"
+
+
+    def test_analyze_compression_samples_visible_rows_of_one_replica(
+        self, monkeypatch
+    ):
+        cluster = Cluster(node_count=2, slices_per_node=2, block_capacity=64)
+        s = cluster.connect()
+        s.execute("CREATE TABLE dim (id int, name varchar(8)) DISTSTYLE ALL")
+        s.execute(
+            "INSERT INTO dim VALUES "
+            + ",".join(f"({i}, 'n{i % 7}')" for i in range(200))
+        )
+        s.execute("DELETE FROM dim WHERE id >= 150")
+        sampled = []
+        analyze = CompressionAnalyzer.analyze
+
+        def spy(self, specs, vectors):
+            sampled.append([len(v) for v in vectors])
+            return analyze(self, specs, vectors)
+
+        monkeypatch.setattr(CompressionAnalyzer, "analyze", spy)
+        s.execute("BEGIN")
+        s.execute("INSERT INTO dim VALUES (500, 'own')")
+        assert len(s.execute("ANALYZE COMPRESSION dim").rows) == 2
+        count = s.execute("SELECT count(*) FROM dim").scalar()
+        assert count == 151
+        assert sampled == [[count, count]]
 
 
 class TestStatistics:

@@ -123,6 +123,30 @@ class TestQuerySummary:
         assert any("Seq Scan" in op for (op,) in ops)
 
 
+    @pytest.mark.parametrize(
+        "dml", ["DELETE FROM events", "UPDATE events SET region = 9"]
+    )
+    def test_dml_scan_is_recorded_with_its_pruning(self, loaded, dml):
+        cluster, s = loaded
+        # 10 blocks per slice, loaded in ts order: a 25-ts range sits in
+        # one block of each slice (two if it straddles a boundary).
+        r = s.execute(f"{dml} WHERE ts >= 1000 AND ts < 1025")
+        assert r.rowcount == 25
+        ((operator, rows, read, skipped),) = s.execute(
+            "SELECT operator, rows, blocks_read, blocks_skipped "
+            "FROM svl_query_summary WHERE query = ("
+            f"SELECT max(query) FROM stl_query WHERE querytxt LIKE '{dml[:6]}%')"
+        ).rows
+        assert operator == "Seq Scan on events"
+        assert 0 < read <= 2 * cluster.slice_count
+        assert read + skipped == 10 * cluster.slice_count
+        truth = r.stats.scan
+        assert (read, skipped) == (truth.blocks_read, truth.blocks_skipped)
+        assert rows >= 25  # post-pruning, pre-filter, like a SELECT's scan
+        # Still one stl_query row per statement.
+        assert s.execute("SELECT count(*) FROM stl_query").scalar() == 4
+
+
 class TestBlocklist:
     def test_blocklist_matches_storage_ground_truth(self, loaded):
         cluster, s = loaded

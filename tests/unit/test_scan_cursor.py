@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import INTEGER
 from repro.engine.transactions import Snapshot
-from repro.exec.scan import scan_batches, scan_rows, shard_block_count
+from repro.exec.scan import ROW_OFFSET, scan_batches, scan_rows, shard_block_count
 from repro.storage import ScanStats, SimulatedDisk, TableShard
 
 COUNTERS = (
@@ -52,7 +52,9 @@ def _reference(shard, column_names, zone_predicates, snapshot=SNAPSHOT):
             continue
         rows.append(
             tuple(
-                None if name is None else columns[name][offset]
+                offset if name == ROW_OFFSET
+                else None if name is None
+                else columns[name][offset]
                 for name in column_names
             )
         )
@@ -80,6 +82,9 @@ def _ranges(shard, step):
         (["k", None, "pad"], SKIP_FIRST_BLOCK),
         (["v", "k"], [(1, "<", 8), (0, ">", 30)]),
         ([None, None, None], []),
+        (["v", ROW_OFFSET], [(0, ">=", 40)]),
+        ([ROW_OFFSET, "k", None], [(1, ">=", 4)]),
+        ([None, ROW_OFFSET], []),
     ],
 )
 def test_adapters_and_block_ranges_agree(column_names, zone_predicates):
@@ -127,6 +132,34 @@ def test_adapters_and_block_ranges_agree(column_names, zone_predicates):
         assert cut_rows == expected, step
         assert _counters(cut_stats) == _counters(row_stats), step
         assert cut_log == batch_log, step
+
+
+def test_row_offset_indexes_the_chain():
+    """ROW_OFFSET is each yielded row's index into ``chain.read_all()``:
+    past a zone-skipped block, inside a partially visible one, around an
+    all-dead one and into the open tail, for both adapters and for a
+    block sub-range."""
+    shard = _shard()
+    shard.mark_deleted(range(8, 12), xid=2)  # the third block: all dead
+    values = shard.chain("v").read_all()
+    names, zone = ["v", ROW_OFFSET], [(0, ">=", 40)]  # skips block 0
+
+    rows = list(scan_rows(shard, names, zone, SNAPSHOT))
+    assert [offset for _, offset in rows] == [4, 6, 7, 12, 13]
+    assert all(values[offset] == v for v, offset in rows)
+    batches = list(scan_batches(shard, names, zone, SNAPSHOT))
+    assert [list(b.columns[1]) for b in batches] == [[4, 6, 7], [12, 13]]
+    assert [row for b in batches for row in b.rows()] == rows
+
+    cut = dict(block_start=1, block_end=3, include_tail=False)
+    assert list(scan_rows(shard, names, zone, SNAPSHOT, **cut)) == rows[:3]
+    # No chain to walk: offsets come from visibility metadata alone.
+    assert list(scan_rows(shard, [ROW_OFFSET], [], SNAPSHOT, **cut)) == [
+        (4,), (6,), (7,),
+    ]
+    assert [o for (o,) in scan_rows(shard, [ROW_OFFSET], [], SNAPSHOT)] == [
+        0, 2, 3, 4, 6, 7, 12, 13,
+    ]
 
 
 def test_zone_map_skip_reads_only_the_surviving_block():

@@ -83,6 +83,22 @@ class TestStalenessLifecycle:
         assert cluster.catalog.table("u").statistics.row_count == 2
 
 
+    def test_analyze_in_a_transaction_sees_the_transaction(
+        self, analyzed, session
+    ):
+        session.execute("BEGIN")
+        session.execute("INSERT INTO t VALUES (1000, 1, 'a'), (1001, 2, 'b')")
+        session.execute("ANALYZE t")
+        assert session.execute("SELECT count(*) FROM t").scalar() == 52
+        for _ in ("in the transaction", "after COMMIT"):
+            stats = analyzed.statistics
+            assert stats.stale is False
+            assert stats.row_count == 52
+            assert stats.columns["id"].high == 1001
+            if session.in_transaction:
+                session.execute("COMMIT")
+
+
 class TestCopyStatistics:
     @pytest.fixture
     def source(self, cluster, session):
