@@ -79,15 +79,6 @@ class Cluster:
     #: with ``SET enable_result_cache``; benchmarks flip it off so
     #: repeated queries measure execution, not cache lookups.
     enable_result_cache_default = True
-    #: Default for new sessions' ``enable_encoded_scan``: vectorized and
-    #: parallel scans operate on compressed blocks directly (dict-code
-    #: masks, RLE folds, late materialization) where the codec supports
-    #: it. Off decodes every block up front.
-    enable_encoded_scan_default = True
-    #: Default for new sessions' ``enable_cbo``: statistics-driven join
-    #: enumeration and operator selection. Off pins written-order
-    #: planning (the pre-optimizer behaviour).
-    enable_cbo_default = True
 
     def __init__(
         self,

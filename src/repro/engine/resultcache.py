@@ -22,7 +22,7 @@ revalidates them. Any mutation path — INSERT/DELETE/VACUUM, scrub
 repair, restore, ``Block.corrupt()``, or a writing transaction's
 commit/rollback — moves an epoch and the entry dies lazily on its next
 lookup. Sessions bypass the cache entirely inside explicit transactions
-and for system-table scans (see ``Session._run_select``).
+and for system-table scans (see ``Session._select_on``).
 
 Concurrency: every cache operation takes the instance lock (the same
 treatment :class:`~repro.storage.blockcache.BlockDecodeCache` got), and

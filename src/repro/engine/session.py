@@ -23,6 +23,7 @@ from repro.engine.catalog import (
     TableStatistics,
 )
 from repro.engine.cluster import Cluster
+from repro.engine.resultcache import result_cache_key
 from repro.engine.transactions import BOOTSTRAP_XID
 from repro.errors import (
     QUERY_RECOVERABLE_ERRORS,
@@ -70,6 +71,15 @@ class QueryResult:
     rowcount: int = 0
     stats: QueryStats = field(default_factory=QueryStats)
     command: str = ""
+    #: The next three are the statement envelope's record
+    #: (:meth:`Session._execute_statement`), read by the server, the
+    #: burst router's counters and replay instead of being recomputed.
+    #: Canonical text of a client SELECT as it was planned and recorded.
+    sql_text: str = ""
+    #: sha256 over a SELECT's columns and rows ("" for other commands).
+    result_fingerprint: str = ""
+    #: "burst" when a concurrency-scaling cluster executed the SELECT.
+    routed_to: str = "main"
 
     def scalar(self) -> object:
         """The single value of a single-row, single-column result."""
@@ -109,6 +119,36 @@ _WRITE_STATEMENTS = (
 )
 
 
+@dataclass(slots=True)
+class _PlannedSelect:
+    """One bound and planned SELECT: what the cache, admit and execute
+    stages need, whichever cluster's storage they then run against."""
+
+    physical: object
+    plan_text: str
+    columns: list[str]
+    #: System-table rows materialized once per query (a stable snapshot
+    #: across retries); user tables are read from slice storage.
+    system_rows: dict[str, list[tuple]]
+    sql_text: str
+    #: Sorted user tables the plan scans: the burst router's freshness
+    #: check and the result-cache entry's invalidation dependencies.
+    scan_tables: tuple[str, ...]
+    executor: str
+    #: Only the outermost SELECT of a statement faces WLM admission.
+    top_level: bool
+
+
+def _on_off(name: str, value: object) -> bool:
+    """The value of a boolean ``SET name = on | off``."""
+    text = str(value).lower()
+    if text in ("on", "true", "1"):
+        return True
+    if text in ("off", "false", "0"):
+        return False
+    raise AnalysisError(f"{name} expects on/off, got {value!r}")
+
+
 class Session:
     """One client connection to a cluster."""
 
@@ -141,24 +181,25 @@ class Session:
         #: (:class:`repro.server.ClusterServer`) installs its live
         #: per-queue SlotGate here; None falls back to the cluster gate.
         self.wlm_gate = None
+        #: Concurrency-scaling router (:class:`repro.server.burst.BurstRouter`),
+        #: installed by the server like the gate. The SELECT stage asks it,
+        #: once the plan names the scanned tables, whether a burst
+        #: cluster's storage should serve this statement.
+        self.burst_router = None
         self._executor_kind = executor
         #: Workers per parallel pipeline; None = one per slice (capped to
         #: the machine's cores), the paper's slice-per-core layout.
         self._parallelism = parallelism
         self._pool_mode = pool_mode
         self._binder = Binder(cluster.catalog)
-        #: ``SET enable_cbo``: cost-based join enumeration and operator
-        #: selection (on by default); off keeps joins in written order.
-        self._enable_cbo = bool(getattr(cluster, "enable_cbo_default", True))
-        self._planner = PhysicalPlanner(
-            cluster.catalog, cluster.slice_count, enable_cbo=self._enable_cbo
-        )
+        #: ``SET enable_cbo`` rebuilds it: cost-based join enumeration and
+        #: operator selection (on by default); off keeps joins in written
+        #: order.
+        self._planner = PhysicalPlanner(cluster.catalog, cluster.slice_count)
         self._xid: int | None = None  # explicit transaction, if any
         #: ``SET enable_result_cache``; the cluster's parameter-group
         #: default (on, as in Redshift) unless overridden per session.
-        self._enable_result_cache = bool(
-            getattr(cluster, "enable_result_cache_default", True)
-        )
+        self._enable_result_cache = cluster.enable_result_cache_default
         if memory_limit is not None and memory_limit < 1:
             raise ValueError(
                 f"memory_limit must be positive bytes, got {memory_limit}"
@@ -171,9 +212,7 @@ class Session:
         #: ``SET enable_encoded_scan``: off forces vectorized and parallel
         #: scans to decode every block up front instead of handing encoded
         #: columns to the kernels.
-        self._enable_encoded_scan = bool(
-            getattr(cluster, "enable_encoded_scan_default", True)
-        )
+        self._enable_encoded_scan = True
         #: SELECT nesting depth — only the outermost SELECT of a
         #: statement consults the WLM admission gate (subqueries ride
         #: their parent's admission).
@@ -183,8 +222,7 @@ class Session:
 
     def execute(self, sql: str) -> QueryResult:
         """Execute exactly one SQL statement."""
-        statement = parse_statement(sql)
-        return self._execute_statement(statement)
+        return self._execute_statement(parse_statement(sql))
 
     def execute_script(self, sql: str) -> list[QueryResult]:
         """Execute a semicolon-separated script, returning all results."""
@@ -199,81 +237,65 @@ class Session:
     def in_transaction(self) -> bool:
         return self._xid is not None
 
-    # ---- transaction plumbing ---------------------------------------------------
-
-    def _begin_statement_txn(self) -> tuple[int, bool]:
-        """Returns (xid, autocommit?)."""
-        if self._xid is not None:
-            return self._xid, False
-        return self._cluster.transactions.begin(), True
-
-    def _finish_statement_txn(self, xid: int, autocommit: bool, ok: bool) -> None:
-        if not autocommit:
-            return
-        if ok:
-            self._cluster.transactions.commit(xid)
-        else:
-            self._cluster.transactions.rollback(xid)
-
-    # ---- dispatch ----------------------------------------------------------------
+    # ---- the statement envelope ---------------------------------------------
 
     def _execute_statement(self, statement: ast.Statement) -> QueryResult:
-        """Execute one statement, recording it into stl_query."""
+        """The one statement envelope. Every parsed client statement is
+        timed, fingerprinted and written to stl_query here, once, however
+        it ends; the exception it died with is re-raised unchanged."""
         systables = self._cluster.systables
-        if systables is None:
-            return self._execute_statement_inner(statement)
         query_id = systables.next_query_id()
         started = systables.now
         t0 = time.perf_counter()
+        error: BaseException | None = None
         try:
-            result = self._execute_statement_inner(statement)
-        except ReproError as exc:
+            result = self._run_statement(statement)
+            if result.command == "SELECT":
+                result.result_fingerprint = result_fingerprint(
+                    result.columns, result.rows
+                )
+            return result
+        except BaseException as exc:
+            error = exc
+            result = QueryResult()  # an error row carries no result detail
+            raise
+        finally:
+            stats = result.stats
             systables.record_query(
                 query_id,
-                text=statement.to_sql(),
-                state="error",
+                text=result.sql_text or statement.to_sql(),
+                state="success" if error is None else "error",
                 started=started,
                 ended=systables.now,
                 elapsed_us=int((time.perf_counter() - t0) * 1_000_000),
-                error=str(exc),
+                error=None if error is None else str(error),
+                executor=stats.executor if error is None else None,
+                rows=result.rowcount,
+                segment_retries=stats.segment_retries,
                 queue=self.queue_name,
                 session_id=self.session_id,
                 user_name=self.user_name,
+                result_fingerprint=result.result_fingerprint,
+                routed_to=result.routed_to,
             )
-            raise
-        fingerprint = ""
-        if result.command == "SELECT":
-            fingerprint = result_fingerprint(result.columns, result.rows)
-        systables.record_query(
-            query_id,
-            text=statement.to_sql(),
-            state="success",
-            started=started,
-            ended=systables.now,
-            elapsed_us=int((time.perf_counter() - t0) * 1_000_000),
-            executor=result.stats.executor if result.stats else None,
-            rows=result.rowcount,
-            segment_retries=result.stats.segment_retries if result.stats else 0,
-            queue=self.queue_name,
-            session_id=self.session_id,
-            user_name=self.user_name,
-            result_fingerprint=fingerprint,
-        )
-        if result.stats and result.stats.operators:
-            systables.record_query_summary(
-                query_id,
-                result.stats.operators,
-                result_cache_hit=result.stats.result_cache_hit,
-            )
-        if result.stats and result.stats.scan.encoding:
-            systables.record_scan_encoding(query_id, result.stats.scan.encoding)
-        if result.stats and result.stats.slice_exec:
-            systables.record_slice_exec(query_id, result.stats.slice_exec)
-        if result.stats and result.stats.spill_events:
-            systables.record_query_spill(query_id, result.stats.spill_events)
-        return result
+            if stats.operators:
+                systables.record_query_summary(
+                    query_id,
+                    stats.operators,
+                    result_cache_hit=stats.result_cache_hit,
+                )
+            if stats.scan.encoding:
+                systables.record_scan_encoding(query_id, stats.scan.encoding)
+            if stats.slice_exec:
+                systables.record_slice_exec(query_id, stats.slice_exec)
+            if stats.spill_events:
+                systables.record_query_spill(query_id, stats.spill_events)
 
-    def _execute_statement_inner(self, statement: ast.Statement) -> QueryResult:
+    def _run_statement(self, statement: ast.Statement) -> QueryResult:
+        """Transaction control, SET and plain EXPLAIN run as they are;
+        everything else runs inside a transaction that is resolved in a
+        ``finally``: an autocommit statement commits or rolls back however
+        it ends, an explicit transaction stays open for the client."""
         if isinstance(statement, ast.BeginStatement):
             if self._xid is not None:
                 raise TransactionError("a transaction is already in progress")
@@ -303,14 +325,19 @@ class Session:
             # EXPLAIN ANALYZE runs the query, so it needs a snapshot
             # like any SELECT; fall through to the transaction path.
 
-        xid, autocommit = self._begin_statement_txn()
+        autocommit = self._xid is None
+        transactions = self._cluster.transactions
+        xid = transactions.begin() if autocommit else self._xid
+        ok = False
         try:
             result = self._dispatch(statement, xid)
-        except ReproError:
-            self._finish_statement_txn(xid, autocommit, ok=False)
-            raise
-        self._finish_statement_txn(xid, autocommit, ok=True)
-        return result
+            ok = True
+            return result
+        finally:
+            if autocommit and ok:
+                transactions.commit(xid)
+            elif autocommit:
+                transactions.rollback(xid)
 
     def _dispatch(self, statement: ast.Statement, xid: int) -> QueryResult:
         if self._cluster.read_only and isinstance(statement, _WRITE_STATEMENTS):
@@ -318,7 +345,7 @@ class Session:
             # statements that would mutate storage are refused.
             raise ClusterReadOnlyError(self._cluster.read_only_reason or "")
         if isinstance(statement, ast.SelectStatement):
-            return self._run_select(statement.query, xid)
+            return self._run_select(statement.query, xid, client=True)
         if isinstance(statement, ast.ExplainStatement):
             return self._explain_analyze(statement.statement, xid)
         if isinstance(statement, ast.CreateTableStatement):
@@ -353,8 +380,7 @@ class Session:
                 self.set_executor(statement.value.lower())
             except ValueError as exc:
                 raise AnalysisError(str(exc)) from exc
-            return QueryResult(command="SET")
-        if name == "parallelism":
+        elif name == "parallelism":
             try:
                 degree = int(statement.value)
             except (TypeError, ValueError):
@@ -366,66 +392,38 @@ class Session:
                     f"parallelism must be positive, got {degree}"
                 )
             self._parallelism = degree
-            return QueryResult(command="SET")
-        if name == "enable_result_cache":
-            value = str(statement.value).lower()
-            if value in ("on", "true", "1"):
-                self._enable_result_cache = True
-            elif value in ("off", "false", "0"):
-                self._enable_result_cache = False
-            else:
-                raise AnalysisError(
-                    "enable_result_cache expects on/off, got "
-                    f"{statement.value!r}"
-                )
-            return QueryResult(command="SET")
-        if name == "query_memory_limit":
-            value = str(statement.value).lower()
-            if value in ("off", "unlimited", "none", "0"):
-                self._memory_limit = None
-                return QueryResult(command="SET")
-            try:
-                limit = int(statement.value)
-            except (TypeError, ValueError):
-                raise AnalysisError(
-                    "query_memory_limit expects bytes or off/unlimited, "
-                    f"got {statement.value!r}"
-                ) from None
-            if limit < 1:
-                raise AnalysisError(
-                    f"query_memory_limit must be positive, got {limit}"
-                )
+        elif name == "enable_result_cache":
+            self._enable_result_cache = _on_off(name, statement.value)
+        elif name == "query_memory_limit":
+            limit = None
+            if str(statement.value).lower() not in (
+                "off", "unlimited", "none", "0"
+            ):
+                try:
+                    limit = int(statement.value)
+                except (TypeError, ValueError):
+                    raise AnalysisError(
+                        "query_memory_limit expects bytes or off/unlimited, "
+                        f"got {statement.value!r}"
+                    ) from None
+                if limit < 1:
+                    raise AnalysisError(
+                        f"query_memory_limit must be positive, got {limit}"
+                    )
             self._memory_limit = limit
-            return QueryResult(command="SET")
-        if name == "enable_encoded_scan":
-            value = str(statement.value).lower()
-            if value in ("on", "true", "1"):
-                self._enable_encoded_scan = True
-            elif value in ("off", "false", "0"):
-                self._enable_encoded_scan = False
-            else:
-                raise AnalysisError(
-                    "enable_encoded_scan expects on/off, got "
-                    f"{statement.value!r}"
-                )
-            return QueryResult(command="SET")
-        if name == "enable_cbo":
-            value = str(statement.value).lower()
-            if value in ("on", "true", "1"):
-                self._enable_cbo = True
-            elif value in ("off", "false", "0"):
-                self._enable_cbo = False
-            else:
-                raise AnalysisError(
-                    f"enable_cbo expects on/off, got {statement.value!r}"
-                )
+        elif name == "enable_encoded_scan":
+            self._enable_encoded_scan = _on_off(name, statement.value)
+        elif name == "enable_cbo":
             self._planner = PhysicalPlanner(
                 self._cluster.catalog,
                 self._cluster.slice_count,
-                enable_cbo=self._enable_cbo,
+                enable_cbo=_on_off(name, statement.value),
             )
-            return QueryResult(command="SET")
-        raise AnalysisError(f"unknown session parameter {statement.name!r}")
+        else:
+            raise AnalysisError(
+                f"unknown session parameter {statement.name!r}"
+            )
+        return QueryResult(command="SET")
 
     # ---- SELECT ---------------------------------------------------------------------
 
@@ -445,8 +443,8 @@ class Session:
         """
         if self._memory_limit is not None:
             return self._memory_limit
-        pool = getattr(self._cluster, "memory_bytes", None)
-        manager = getattr(self._cluster, "workload_manager", None)
+        pool = self._cluster.memory_bytes
+        manager = self._cluster.workload_manager
         gate = self._admission_gate()
         if not pool or manager is None or gate is None:
             return None
@@ -463,93 +461,140 @@ class Session:
             return self.wlm_gate
         return self._cluster.wlm_gate
 
-    def _context(self, xid: int) -> ExecutionContext:
+    def _context(
+        self, cluster: Cluster, xid: int, executor: str
+    ) -> ExecutionContext:
+        """One attempt's context: *cluster*'s storage, caches and fault
+        injector under this session's parameters."""
         # Each query gets its own interconnect so its stats are scoped to
         # it; totals roll up to the cluster interconnect afterwards.
         from repro.engine.network import Interconnect
 
         ctx = ExecutionContext(
-            slices=self._cluster.slice_stores,
-            snapshot=self._cluster.transactions.snapshot(xid),
+            slices=cluster.slice_stores,
+            snapshot=cluster.transactions.snapshot(xid),
             interconnect=Interconnect(),
-            fault_injector=self._cluster.fault_injector,
-            block_cache=self._cluster.block_cache,
+            fault_injector=cluster.fault_injector,
+            block_cache=cluster.block_cache,
             encoded_scan=self._enable_encoded_scan,
-            segment_cache=self._cluster.segment_cache,
+            segment_cache=cluster.segment_cache,
         )
         limit = self.effective_memory_limit()
         if limit is not None:
             from repro.storage.spillfile import SpillManager
 
             ctx.memory_budget = MemoryBudget(limit)
-            ctx.spill = SpillManager(injector=self._cluster.fault_injector)
-        if self._executor_kind == "parallel":
+            ctx.spill = SpillManager(injector=cluster.fault_injector)
+        if executor == "parallel":
             ctx.parallel = ParallelConfig(
                 degree=self.effective_parallelism(),
                 mode=self._pool_mode or workers.default_mode(),
-                pool_manager=self._cluster.pool_manager,
-                registry_id=self._cluster.worker_registry_id,
+                pool_manager=cluster.pool_manager,
+                registry_id=cluster.worker_registry_id,
             )
         ctx.stats.network = ctx.interconnect.stats
         return ctx
 
-    def _run_select(self, query, xid: int) -> QueryResult:
-        # Depth tracking: subqueries re-enter here recursively, but only
-        # the outermost SELECT of a statement faces WLM admission.
+    def _run_select(
+        self, query, xid: int, executor: str | None = None, client: bool = False
+    ) -> QueryResult:
+        """Plan *query*, then cache → admit → execute it. *executor*
+        overrides the session's for this SELECT and its subqueries;
+        *client* marks a client's own SELECT statement, the only kind the
+        burst router is asked about."""
+        executor = executor or self._executor_kind
+        # Subqueries re-enter here from the expansion below.
         top_level = self._select_depth == 0
         self._select_depth += 1
         try:
-            return self._select(query, xid, top_level)
+            expand_subqueries(
+                query, lambda inner: self._run_select(inner, xid, executor).rows
+            )
+            logical = self._binder.bind_select(query)
+            physical = self._planner.plan(logical)
+            self._cluster.workload.record_plan(physical)
+            scan_tables, system_rows = self._scanned_tables(physical)
+            planned = _PlannedSelect(
+                physical=physical,
+                plan_text=explain(physical),
+                columns=[c.name for c in logical.output],
+                system_rows=system_rows,
+                sql_text=query.to_sql(),
+                scan_tables=scan_tables,
+                executor=executor,
+                top_level=top_level,
+            )
+            router = self.burst_router
+            if client and router is not None and not planned.system_rows:
+                # Route before the cache lookup and before admission: a
+                # routed statement consults the burst cluster's own cache
+                # and takes no slot on main.
+                burst = router.route(self, planned.scan_tables)
+                if burst is not None:
+                    result = self._select_on_burst(router, burst, planned)
+                    if result is not None:
+                        return result
+            return self._select_on(
+                self._cluster, planned, xid, self._admission_gate()
+            )
         finally:
             self._select_depth -= 1
 
-    def _select(self, query, xid: int, top_level: bool) -> QueryResult:
-        expand_subqueries(
-            query, lambda inner: self._run_select(inner, xid).rows
-        )
-        logical = self._binder.bind_select(query)
-        columns = [c.name for c in logical.output]
-        physical = self._planner.plan(logical)
-        self._cluster.workload.record_plan(physical)
-        # System-table scans read from rows materialized once per query
-        # (a stable snapshot across retries), not from slice storage.
-        system_rows = self._system_scan_rows(physical)
+    def _select_on_burst(self, router, burst, planned) -> QueryResult | None:
+        """Run a routed SELECT against the burst cluster. None means it
+        failed there: the router has counted the fallback (and retired a
+        broken clone), nothing was recorded, and the caller carries on
+        down main's path — SELECTs are idempotent."""
+        transactions = burst.cluster.transactions
+        xid = transactions.begin()
+        try:
+            result = self._select_on(burst.cluster, planned, xid, None)
+        except Exception as exc:  # noqa: BLE001 — idempotent fallback on main
+            router.failed(burst, exc)
+            return None
+        finally:
+            transactions.rollback(xid)  # read-only: nothing to commit
+        router.completed(burst)
+        result.routed_to = "burst"
+        return result
 
+    def _select_on(
+        self, cluster: Cluster, planned: _PlannedSelect, xid: int, gate
+    ) -> QueryResult:
+        """Cache → admit → execute[attempt n] against *cluster*'s storage
+        and caches, under this session's current parameters."""
         # Result cache: only autocommit SELECTs over user tables are
         # eligible. Inside an explicit transaction this session may read
         # its own uncommitted writes — rows no other query should be
         # served — and system-table rows have no mutation epochs to
         # validate against.
-        result_cache = self._cluster.result_cache
+        result_cache = cluster.result_cache
         cache_key: str | None = None
-        plan_text = explain(physical)
-        sql_text = ""
-        scan_tables: tuple[str, ...] = ()
         owns_flight = False
         if (
-            result_cache is not None
-            and self._enable_result_cache
+            self._enable_result_cache
             and self._xid is None
-            and not system_rows
+            and not planned.system_rows
         ):
-            from repro.engine.resultcache import result_cache_key
-
-            sql_text = query.to_sql()
-            scan_tables = self._user_scan_tables(physical)
             cache_key = result_cache_key(
-                sql_text, plan_text, self._executor_kind
+                planned.sql_text, planned.plan_text, planned.executor
             )
             # Single-flight: N concurrent sessions missing on the same
             # key execute once — one leads, the rest wait here and are
             # served the entry the leader stored.
             entry, owns_flight = result_cache.lead_or_wait(cache_key)
             if entry is not None:
-                return self._serve_cached(entry, plan_text, top_level)
+                return self._serve_cached(entry, planned, gate)
         try:
-            return self._execute_select(
-                query, xid, top_level, physical, plan_text, columns,
-                system_rows, result_cache, cache_key, sql_text, scan_tables,
-            )
+            if gate is not None and planned.top_level:
+                gate.admit(planned.sql_text)
+            return self._execute_select(cluster, planned, xid, cache_key)
+        except SpillCapacityError:
+            # Out of temp space (real capacity or an injected DISK_FULL
+            # window): shed the query cleanly — typed error to the
+            # client, a WLM rule action for operators.
+            self._record_spill_shed(cluster, gate, planned.sql_text)
+            raise
         finally:
             # Wake the waiters no matter how the execution ended; a
             # waiter finding no stored entry leads the next flight.
@@ -558,22 +603,11 @@ class Session:
 
     def _execute_select(
         self,
-        query,
+        cluster: Cluster,
+        planned: _PlannedSelect,
         xid: int,
-        top_level: bool,
-        physical,
-        plan_text: str,
-        columns: list[str],
-        system_rows: dict[str, list[tuple]],
-        result_cache,
         cache_key: str | None,
-        sql_text: str,
-        scan_tables: tuple[str, ...],
     ) -> QueryResult:
-        gate = self._admission_gate()
-        if gate is not None and top_level:
-            gate.admit(sql_text or query.to_sql())
-        entry_epochs: tuple[int, ...] = ()
         retries = 0
         while True:
             # Each attempt gets a fresh context: a retried segment restarts
@@ -583,34 +617,26 @@ class Session:
             # between attempts, and the stored entry must be validated
             # against the state the winning attempt actually read.
             entry_epochs = tuple(
-                epoch.table_epoch(table) for table in scan_tables
+                epoch.table_epoch(table) for table in planned.scan_tables
             )
-            ctx = self._context(xid)
+            ctx = self._context(cluster, xid, planned.executor)
             if cache_key is not None:
                 # Cached (autocommit) SELECTs must freeze their snapshot
                 # AFTER the epoch capture above: a commit between the
                 # transaction-start snapshot and the capture would be
                 # invisible to the result yet already in the epochs,
                 # storing a stale entry that validates forever.
-                ctx.snapshot = self._cluster.transactions.statement_snapshot(
-                    xid
-                )
-            ctx.system_rows = system_rows
-            ctx.stats.executor = self._executor_kind
-            ctx.stats.plan_text = plan_text
+                ctx.snapshot = cluster.transactions.statement_snapshot(xid)
+            ctx.system_rows = planned.system_rows
+            ctx.stats.executor = planned.executor
+            ctx.stats.plan_text = planned.plan_text
             ctx.stats.segment_retries = retries
-            executor = _EXECUTORS[self._executor_kind](ctx)
+            executor = _EXECUTORS[planned.executor](ctx)
             start = time.perf_counter()
             try:
-                rows = executor.execute(physical)
-            except SpillCapacityError:
-                # Out of temp space (real capacity or an injected
-                # DISK_FULL window): shed the query cleanly — typed
-                # error to the client, a WLM rule action for operators.
-                self._record_spill_shed(sql_text or query.to_sql())
-                raise
+                rows = executor.execute(planned.physical)
             except QUERY_RECOVERABLE_ERRORS as exc:
-                handler = self._cluster.recovery_handler
+                handler = cluster.recovery_handler
                 if handler is None:
                     raise
                 retries += 1
@@ -628,33 +654,32 @@ class Session:
         ctx.stats.rows_returned = len(rows)
         if ctx.memory_budget is not None:
             ctx.stats.peak_memory_bytes = ctx.memory_budget.peak_bytes
-        self._cluster.interconnect.absorb(ctx.interconnect.stats)
+        cluster.interconnect.absorb(ctx.interconnect.stats)
         if cache_key is not None:
-            result_cache.store(
+            cluster.result_cache.store(
                 cache_key,
-                sql_text,
-                self._executor_kind,
-                columns,
+                planned.sql_text,
+                planned.executor,
+                planned.columns,
                 rows,
-                scan_tables,
+                planned.scan_tables,
                 entry_epochs,
             )
             ctx.stats.result_cache_status = "miss"
         return QueryResult(
-            columns=columns,
+            columns=planned.columns,
             rows=rows,
             rowcount=len(rows),
             stats=ctx.stats,
             command="SELECT",
+            sql_text=planned.sql_text,
         )
 
-    def _record_spill_shed(self, label: str) -> None:
+    @staticmethod
+    def _record_spill_shed(cluster: Cluster, gate, label: str) -> None:
         """Log a spill-capacity shed into stl_wlm_rule_action, next to
         the admission sheds it is the execution-time sibling of."""
-        systables = self._cluster.systables
-        if systables is None:
-            return
-        gate = self._admission_gate()
+        systables = cluster.systables
         systables.store.append(
             "stl_wlm_rule_action",
             (
@@ -666,14 +691,13 @@ class Session:
             ),
         )
 
-    def _serve_cached(
-        self, entry, plan_text: str, top_level: bool
-    ) -> QueryResult:
+    @staticmethod
+    def _serve_cached(entry, planned: _PlannedSelect, gate) -> QueryResult:
         """Answer a SELECT from the result cache: no execution, and no
         WLM admission — the gate records a bypass instead."""
         stats = QueryStats()
         stats.executor = entry.executor
-        stats.plan_text = plan_text
+        stats.plan_text = planned.plan_text
         stats.result_cache_hit = True
         stats.result_cache_status = "hit"
         rows = list(entry.rows)
@@ -684,8 +708,7 @@ class Session:
         stats.operators = [
             OperatorStat(step=-1, operator="Result Cache", rows=len(rows))
         ]
-        gate = self._admission_gate()
-        if gate is not None and top_level:
+        if gate is not None and planned.top_level:
             gate.record_bypass(entry.sql)
         return QueryResult(
             columns=list(entry.columns),
@@ -693,43 +716,30 @@ class Session:
             rowcount=len(rows),
             stats=stats,
             command="SELECT",
+            sql_text=planned.sql_text,
         )
 
-    def _user_scan_tables(self, plan) -> tuple[str, ...]:
-        """The user tables the physical plan scans, sorted (the result
-        cache entry's invalidation dependencies)."""
+    def _scanned_tables(
+        self, plan
+    ) -> tuple[tuple[str, ...], dict[str, list[tuple]]]:
+        """The user tables *plan* scans, sorted, and the provider rows of
+        every system table it scans, materialized here once."""
         catalog = self._cluster.catalog
-        names: set[str] = set()
-
-        def walk(node) -> None:
-            if isinstance(node, PhysicalScan) and not catalog.is_system_table(
-                node.table.name
-            ):
-                names.add(node.table.name)
-            for child in node.children:
-                walk(child)
-
-        walk(plan)
-        return tuple(sorted(names))
-
-    def _system_scan_rows(self, plan) -> dict[str, list[tuple]]:
-        """Materialize provider rows for every system table the plan scans."""
-        catalog = self._cluster.catalog
-        systables = self._cluster.systables
-        out: dict[str, list[tuple]] = {}
-        if systables is None:
-            return out
+        user: set[str] = set()
+        system: dict[str, list[tuple]] = {}
 
         def walk(node) -> None:
             if isinstance(node, PhysicalScan):
                 name = node.table.name
-                if catalog.is_system_table(name) and name not in out:
-                    out[name] = systables.rows(name)
+                if not catalog.is_system_table(name):
+                    user.add(name)
+                elif name not in system:
+                    system[name] = self._cluster.systables.rows(name)
             for child in node.children:
                 walk(child)
 
         walk(plan)
-        return out
+        return tuple(sorted(user)), system
 
     def _explain(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
@@ -761,13 +771,10 @@ class Session:
         executor too and annotates fused steps with their degree of
         parallelism (``workers=... morsels=...``).
         """
-        previous = self._executor_kind
-        if previous == "compiled":
-            self._executor_kind = "volcano"
-        try:
-            result = self._run_select(statement.query, xid)
-        finally:
-            self._executor_kind = previous
+        executor = self._executor_kind
+        if executor == "compiled":
+            executor = "volcano"
+        result = self._run_select(statement.query, xid, executor)
         lines = _annotate_plan(result.stats.plan_text, result.stats.operators)
         scan = result.stats.scan
         if scan.cache_hits or scan.cache_misses:

@@ -7,13 +7,14 @@ submitting its queries at the captured start offsets (divided by
 overlapping ad-hoc — is reproduced against the target cluster. Within a
 session, statements stay strictly ordered, as they were on the source.
 
-Correctness checking is fingerprint-based: each replayed SELECT is
-hashed the same way capture hashed it
-(:func:`repro.util.fingerprint.result_fingerprint`), and the differ
-compares pairs where both sides carry a fingerprint. Replaying on the
-same executor kind as the capture makes the comparison bit-exact —
-executors are deterministic; only *across* executor kinds may results
-legally differ (e.g. float aggregation order).
+Correctness checking is fingerprint-based: the session's statement
+envelope hashes each replayed SELECT with the function that hashed the
+captured one (:func:`repro.util.fingerprint.result_fingerprint`) and
+carries the digest on the result, and the differ compares pairs where
+both sides carry a fingerprint. Replaying on the same executor kind as
+the capture makes the comparison bit-exact — executors are
+deterministic; only *across* executor kinds may results legally differ
+(e.g. float aggregation order).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.errors import ReplayError, ReproError
 from repro.replay.capture import CapturedQuery, CapturedWorkload
 from repro.server import ClusterServer, ServerConfig
 from repro.engine.wlm import QueueConfig
-from repro.util.fingerprint import result_fingerprint
 from repro.util.stats import percentile
 
 
@@ -175,41 +175,25 @@ def replay(
                         pass  # captured on an executor this build lacks
                 began = time.perf_counter() - start
                 t0 = time.perf_counter()
+                state, error, rows, fingerprint = "success", "", 0, ""
                 try:
                     result = handle.execute(captured.text)
+                    # Read off the engine's one record of the statement.
+                    rows, fingerprint = result.rowcount, result.result_fingerprint
                 except ReproError as exc:
-                    outcome = ReplayedQuery(
-                        query_id=captured.query_id,
-                        session_id=captured.session_id,
-                        text=captured.text,
-                        offset_s=began,
-                        elapsed_us=int(
-                            (time.perf_counter() - t0) * 1_000_000
-                        ),
-                        state="error",
-                        error=str(exc),
-                        rows=0,
-                        result_fingerprint="",
-                    )
-                else:
-                    fingerprint = ""
-                    if result.command == "SELECT":
-                        fingerprint = result_fingerprint(
-                            result.columns, result.rows
-                        )
-                    outcome = ReplayedQuery(
-                        query_id=captured.query_id,
-                        session_id=captured.session_id,
-                        text=captured.text,
-                        offset_s=began,
-                        elapsed_us=int(
-                            (time.perf_counter() - t0) * 1_000_000
-                        ),
-                        state="success",
-                        error="",
-                        rows=result.rowcount,
-                        result_fingerprint=fingerprint,
-                    )
+                    state, error = "error", str(exc)
+                outcome = ReplayedQuery(
+                    query_id=captured.query_id,
+                    session_id=captured.session_id,
+                    text=captured.text,
+                    offset_s=began,
+                    # The client's wall clock: queueing included.
+                    elapsed_us=int((time.perf_counter() - t0) * 1_000_000),
+                    state=state,
+                    error=error,
+                    rows=rows,
+                    result_fingerprint=fingerprint,
+                )
                 with results_lock:
                     results.append(outcome)
         finally:

@@ -6,14 +6,15 @@ compute attached transparently, not queries shed at the gate. This
 module is the serving half of that story. When a WLM queue's waiting
 depth stays above a threshold, the control plane restores a **burst
 cluster** from the latest S3 snapshot (PR 1's restore machinery) and
-the :class:`BurstRouter` — a layer above :class:`~repro.server.server.SlotGate`
-— starts sending *read-only* queries there instead of letting them
-queue on main:
+the :class:`BurstRouter` — the routing stage of the session's one
+statement path, asked before the result cache and before
+:class:`~repro.server.server.SlotGate` admission — starts sending
+*read-only* queries there instead of letting them queue on main:
 
-- **Eligibility.** Only a plain ``SELECT`` qualifies: outside any
-  explicit transaction (a transaction's reads must see its own writes,
-  which only exist on main) and touching no system tables (``stv_*``
-  state lives per cluster; the burst clone's would be wrong).
+- **Eligibility.** Only a client's plain ``SELECT`` qualifies: outside
+  any explicit transaction (a transaction's reads must see its own
+  writes, which only exist on main) and scanning no system tables
+  (``stv_*`` state lives per cluster; the burst clone's would be wrong).
 - **Freshness.** The snapshot manifest captures every table's mutation
   epoch at backup time. A query routes only while *all* of its scanned
   tables' live epochs still equal the captured ones — the moment a
@@ -21,11 +22,17 @@ queue on main:
   ``stale_rejects``). This is the same invalidation discipline the
   result cache uses, and it makes burst results bit-identical to main
   by construction.
+- **One set of parameters.** A routed statement is the *main* session's
+  own SELECT stage pointed at the burst cluster's storage, caches and
+  fault injector: it runs the plan main already made, under that
+  session's current executor, parallelism, pool mode, memory limit and
+  ``enable_*`` values. There is no burst-side session to drift.
 - **Fallback.** The burst cluster deliberately runs without recovery
   handlers: an injected node crash or storage fault mid-query
-  propagates out, the router retires the broken burst and re-executes
-  the statement on main. SELECTs are idempotent, so the retry can
-  neither lose nor double-execute work.
+  propagates out, the router counts the fallback and retires the
+  broken burst, and the session carries on down main's path. SELECTs
+  are idempotent and the statement is recorded once, by the session's
+  envelope, so the retry can neither lose nor double-execute work.
 - **Retirement.** After ``burst_idle_timeout_s`` with no routed
   queries the cluster is handed back to the control plane's retire
   hook and its EC2 instances released.
@@ -38,9 +45,7 @@ direction control plane → server.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
-import time
 from dataclasses import dataclass
 
 from repro.errors import (
@@ -52,10 +57,7 @@ from repro.errors import (
     S3TransientError,
     WorkerCrashError,
 )
-from repro.sql import ast
-from repro.sql.parser import parse_statement
 from repro.storage import epoch
-from repro.util.fingerprint import result_fingerprint
 
 #: Failures that mean the burst *infrastructure* is unhealthy (retire
 #: it), as opposed to a query error that would reproduce on main.
@@ -124,43 +126,15 @@ class BurstCluster:
             self.last_routed_at = self.provisioned_at
 
 
-def referenced_tables(statement: ast.SelectStatement) -> tuple[str, ...]:
-    """Every table name a SELECT references, CTE names excluded.
-
-    Walks the whole AST generically (every node is a dataclass), so
-    table references inside joins, set operations, scalar/IN subqueries
-    and CTE bodies are all collected. CTE names shadow real tables for
-    the query that defines them, so they are dropped from the result.
-    """
-    names: set[str] = set()
-    cte_names: set[str] = set()
-
-    def walk(node) -> None:
-        if isinstance(node, ast.TableRef):
-            names.add(node.name)
-            return
-        if isinstance(node, ast.CommonTableExpr):
-            cte_names.add(node.name)
-            walk(node.query)
-            return
-        if dataclasses.is_dataclass(node):
-            for f in dataclasses.fields(node):
-                walk(getattr(node, f.name))
-        elif isinstance(node, (list, tuple)):
-            for item in node:
-                walk(item)
-
-    walk(statement)
-    return tuple(sorted(names - cte_names))
-
-
 class BurstRouter:
-    """Routes eligible read-only statements to a burst cluster.
+    """Decides which read-only statements a burst cluster serves.
 
-    Sits between :class:`~repro.server.server.ServerSession` workers and
-    their engine sessions: the worker calls :meth:`execute` instead of
-    ``session.execute`` when a router is attached, on the worker's own
-    thread — so main-path admission, slot release and latency
+    The server installs the router on every engine session (like the
+    WLM gate). A session dispatching a client SELECT calls :meth:`route`
+    with the user tables its plan scans, runs the statement against the
+    returned burst cluster itself, and reports back through
+    :meth:`completed` or :meth:`failed` — all on the session's own
+    worker thread, so main-path admission, slot release and latency
     accounting are untouched.
     """
 
@@ -178,8 +152,6 @@ class BurstRouter:
         self.active: BurstCluster | None = None
         #: Every burst cluster ever provisioned, for stv_burst_clusters.
         self.history: list[BurstCluster] = []
-        #: main session_id -> engine session on the active burst cluster.
-        self._sessions: dict[int, object] = {}
         self._pressure_since: float | None = None
         self._cooldown_until: float = float("-inf")
         self.routed = 0
@@ -189,49 +161,17 @@ class BurstRouter:
         self.provision_failures = 0
         self.retirements = 0
 
-    # ---- the worker-thread entry point -----------------------------------
-
-    def execute(self, handle, sql: str):
-        """Execute *sql* for *handle*, on burst when eligible and fresh."""
-        burst = self._route(handle, sql)
-        if burst is None:
-            return handle.session.execute(sql)
-        try:
-            result = self._execute_on_burst(handle, burst, sql)
-        except Exception as exc:  # noqa: BLE001 — idempotent fallback below
-            with self._lock:
-                self.fallbacks += 1
-                burst.fallbacks += 1
-            if isinstance(exc, _INFRA_ERRORS):
-                self.retire_burst(burst, reason=f"fault: {exc}")
-            # The burst attempt recorded nothing into main's stl_query,
-            # so re-running on main executes the SELECT exactly once
-            # from the client's point of view.
-            return handle.session.execute(sql)
-        return result
-
     # ---- routing decision ------------------------------------------------
 
-    def _route(self, handle, sql: str) -> BurstCluster | None:
-        if handle.queue_name != self.config.queue:
+    def route(self, session, tables: tuple[str, ...]) -> BurstCluster | None:
+        """The burst cluster that should run *session*'s SELECT over the
+        user *tables*, or None to stay on main."""
+        if session.queue_name != self.config.queue or session.in_transaction:
             return None
-        try:
-            statement = parse_statement(sql)
-        except Exception:  # noqa: BLE001 — main reports the parse error
-            return None
-        if not isinstance(statement, ast.SelectStatement):
-            return None
-        if handle.session.in_transaction:
-            return None
-        tables = referenced_tables(statement)
-        catalog = self._server.cluster.catalog
-        for name in tables:
-            if catalog.is_system_table(name) or not catalog.has_table(name):
-                return None
         now = self._server.now()
         burst = self.active
         if burst is None:
-            burst = self._maybe_provision(handle, now)
+            burst = self._maybe_provision(session.wlm_gate.waiting, now)
             if burst is None:
                 return None
         else:
@@ -247,8 +187,7 @@ class BurstRouter:
                 return None
         return burst
 
-    def _maybe_provision(self, handle, now: float) -> BurstCluster | None:
-        waiting = handle._gate.waiting
+    def _maybe_provision(self, waiting: int, now: float) -> BurstCluster | None:
         if waiting < self.config.burst_queue_depth_threshold:
             self._pressure_since = None
             return None
@@ -288,77 +227,24 @@ class BurstRouter:
         finally:
             self._provision_lock.release()
 
-    # ---- burst-side execution --------------------------------------------
+    # ---- outcome of a routed statement -----------------------------------
 
-    def _execute_on_burst(self, handle, burst: BurstCluster, sql: str):
-        session = self._burst_session(handle, burst)
-        started = self._server.now()
-        t0 = time.perf_counter()
-        result = session.execute(sql)
-        elapsed_us = int((time.perf_counter() - t0) * 1_000_000)
+    def completed(self, burst: BurstCluster) -> None:
+        """A routed statement succeeded on *burst*."""
         now = self._server.now()
         with self._lock:
             self.routed += 1
             burst.routed_queries += 1
             burst.last_routed_at = now
-        self._record_routed(handle, sql, result, started, elapsed_us)
-        return result
 
-    def _burst_session(self, handle, burst: BurstCluster):
+    def failed(self, burst: BurstCluster, exc: Exception) -> None:
+        """A routed statement died on *burst*; the session falls back to
+        main. An infrastructure fault also retires the clone."""
         with self._lock:
-            session = self._sessions.get(handle.session_id)
-            if session is not None and session._cluster is burst.cluster:
-                return session
-        main = handle.session
-        session = burst.cluster.connect(
-            executor=main._executor_kind,
-            parallelism=main._parallelism,
-            pool_mode=main._pool_mode,
-            user_name=handle.user_name,
-            queue=handle.queue_name,
-        )
-        with self._lock:
-            self._sessions[handle.session_id] = session
-        return session
-
-    def _record_routed(
-        self, handle, sql: str, result, started: float, elapsed_us: int
-    ) -> None:
-        """Mirror the routed statement into *main's* stl_query.
-
-        The burst cluster's own systables logged the execution detail;
-        main's log is the fleet-facing record, so capture/replay and
-        the chaos drills see every query exactly once with
-        ``routed_to='burst'``.
-        """
-        systables = self._server.cluster.systables
-        if systables is None:
-            return
-        fingerprint = ""
-        if result.command == "SELECT":
-            fingerprint = result_fingerprint(result.columns, result.rows)
-        # Engine sessions log the canonical (re-serialized) statement
-        # text; match that so fleet tooling groups routed and main
-        # executions of the same query together.
-        try:
-            text = parse_statement(sql).to_sql()
-        except Exception:  # noqa: BLE001 — routed SQL always parsed once
-            text = sql
-        systables.record_query(
-            systables.next_query_id(),
-            text=text,
-            state="success",
-            started=started,
-            ended=systables.now,
-            elapsed_us=elapsed_us,
-            executor=result.stats.executor if result.stats else None,
-            rows=result.rowcount,
-            queue=handle.queue_name,
-            session_id=handle.session_id,
-            user_name=handle.user_name,
-            result_fingerprint=fingerprint,
-            routed_to="burst",
-        )
+            self.fallbacks += 1
+            burst.fallbacks += 1
+        if isinstance(exc, _INFRA_ERRORS):
+            self.retire_burst(burst, reason=f"fault: {exc}")
 
     # ---- retirement ------------------------------------------------------
 
@@ -381,7 +267,6 @@ class BurstRouter:
             burst.state = "retired"
             if self.active is burst:
                 self.active = None
-            self._sessions = {}
             self.retirements += 1
         try:
             self._retire(burst)
@@ -435,16 +320,3 @@ class BurstRouter:
                 "provision_failures": self.provision_failures,
                 "retirements": self.retirements,
             }
-
-
-# Re-exported field-order reference for stv_burst_clusters consumers.
-BURST_CLUSTER_COLUMNS = (
-    "cluster_id",
-    "state",
-    "snapshot_id",
-    "provisioned_at",
-    "last_routed_at",
-    "routed_queries",
-    "fallbacks",
-    "stale_rejects",
-)

@@ -245,11 +245,7 @@ class ServerSession:
             self.state = "busy"
             t0 = time.perf_counter()
             try:
-                router = self._server.burst_router
-                if router is not None:
-                    result = router.execute(self, sql)
-                else:
-                    result = self.session.execute(sql)
+                result = self.session.execute(sql)
             except BaseException as exc:  # noqa: BLE001 — ferried to the client
                 with self._lock:
                     self.errors += 1
@@ -284,10 +280,7 @@ class ClusterServer:
         self._closed_errors = 0
         self._lock = threading.Lock()
         self._shutdown = False
-        #: Concurrency-scaling router (:class:`repro.server.burst.BurstRouter`);
-        #: attached by the control plane's ``enable_concurrency_scaling``.
-        #: None routes everything to the main cluster.
-        self.burst_router = None
+        self._burst_router = None
         self.started_at = self.now()
         self._started_perf = time.perf_counter()
         cluster.server = self
@@ -295,6 +288,22 @@ class ClusterServer:
     def now(self) -> float:
         systables = self.cluster.systables
         return systables.now if systables is not None else time.time()
+
+    @property
+    def burst_router(self):
+        """Concurrency-scaling router (:class:`repro.server.burst.BurstRouter`);
+        attached by the control plane's ``enable_concurrency_scaling``.
+        None routes everything to the main cluster."""
+        return self._burst_router
+
+    @burst_router.setter
+    def burst_router(self, router) -> None:
+        # Routing is a stage of the engine session's statement path, so
+        # the router lives there — on the sessions already open too.
+        with self._lock:
+            self._burst_router = router
+            for handle in self._sessions.values():
+                handle.session.burst_router = router
 
     # ---- session lifecycle ----------------------------------------------
 
@@ -327,6 +336,7 @@ class ClusterServer:
         session.wlm_gate = gate
         handle = ServerSession(self, session, gate)
         with self._lock:
+            session.burst_router = self._burst_router
             self._sessions[handle.session_id] = handle
         self._log_connection("connect", handle)
         return handle

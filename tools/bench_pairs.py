@@ -11,7 +11,8 @@ that goes first alternates, so a slow minute on the machine lands on
 both. The output is the compact ``BENCH_<pr>.json`` of ROADMAP item 6:
 machine stamp, seed, and per workload and end-to-end metric the runs,
 median and quartiles of each side; plus the ``LAYERS`` metrics from one
-traced ``mixed_etl`` run per side. Run length is ``BENCHMARK.json``'s.
+traced run per side of each workload named there. Run length is
+``BENCHMARK.json``'s.
 """
 
 from __future__ import annotations
@@ -30,13 +31,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
-#: Per-layer metrics of the write path, which no end-to-end metric isolates.
-LAYERS = (
-    "engine.delete_ms_p50",
-    "engine.copy_batch_ms_p50",
-    "engine.insert_ms_p50",
-    "storage.blocks_skipped_ratio",
-)
+#: Per-layer metrics no end-to-end metric isolates, by the traced workload
+#: that measures them: the write path, and the per-statement envelope.
+LAYERS = {
+    "mixed_etl": (
+        "engine.delete_ms_p50",
+        "engine.copy_batch_ms_p50",
+        "engine.insert_ms_p50",
+        "storage.blocks_skipped_ratio",
+    ),
+    "dashboard_repeat": (
+        "engine.hit_us_p50",
+        "engine.miss_overhead_us_p50",
+        "server.dispatch_us_p50",
+        "sql.parse_us_p50",
+    ),
+}
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -121,10 +131,10 @@ def main(argv=None) -> int:
         "per_layer": {},
     }
     for side, path in sides.items():
-        traced = run(path, "mixed_etl", args.seed, trace=1)["metrics"]
-        point["per_layer"][side] = {
-            name: sig5(traced[name]["value"]) for name in LAYERS
-        }
+        layers = point["per_layer"][side] = {}
+        for workload, names in LAYERS.items():
+            traced = run(path, workload, args.seed, trace=1)["metrics"]
+            layers.update({name: sig5(traced[name]["value"]) for name in names})
     for workload, by_side in runs.items():
         entry = point["workloads"][workload] = {
             "failed": {
