@@ -125,7 +125,6 @@ class VectorizedExecutor(VolcanoExecutor):
             start = self._start_times[stat.step]
         column_names = scan_column_names(node)
         masks = [make_mask_kernel(f) for f in node.filters]
-        cache = self._ctx.block_cache
         out: PerSlice = []
         for store in self._ctx.slices:
             slice_batches = BatchList()
@@ -138,7 +137,7 @@ class VectorizedExecutor(VolcanoExecutor):
                     self._ctx.snapshot,
                     stats=local,
                     charge=store.disk.record_read,
-                    block_cache=cache,
+                    block_cache=self._ctx.block_cache,
                     encoded=self._ctx.encoded_scan,
                 ):
                     if stat is not None:

@@ -334,6 +334,7 @@ class VolcanoExecutor:
                 self._ctx.snapshot,
                 stats=local,
                 charge=store.disk.record_read,
+                block_cache=self._ctx.block_cache,
             )
             if stat is not None:
                 rows = self._counted_iter(

@@ -37,7 +37,7 @@ class ScanStats:
     chains_read: int = 0
     bytes_read: int = 0
     values_read: int = 0
-    #: Block-decode cache traffic (batch scan path only).
+    #: Block-decode cache traffic (leader executor scans; workers have none).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Operate-on-compressed accounting (encoded scan path only): batches
@@ -175,14 +175,18 @@ class ColumnChain:
                 return True
         return False
 
+    def evict_cached(self) -> None:
+        """Evict the sealed blocks from every decode cache (retiring them)."""
+        for block in self._blocks:
+            blockcache.invalidate_everywhere(block.block_id, self.table_name)
+
     def adopt_blocks(self, blocks: Sequence[Block]) -> None:
         """Replace this chain's contents with already-built blocks.
 
         Used by recovery and restore paths that reconstruct a chain from
         replicated or backed-up block images. Any open tail is discarded.
         """
-        for existing in self._blocks:
-            blockcache.invalidate_everywhere(existing.block_id, self.table_name)
+        self.evict_cached()
         self._blocks = list(blocks)
         for block in self._blocks:
             block.table_name = self.table_name
@@ -194,8 +198,7 @@ class ColumnChain:
         The retired blocks' decode-cache entries are invalidated; the
         rewritten chain gets fresh block ids.
         """
-        for existing in self._blocks:
-            blockcache.invalidate_everywhere(existing.block_id, self.table_name)
+        self.evict_cached()
         values = self.read_all()
         fresh = ColumnChain(
             self.column_name, self.sql_type, self.codec, self.block_capacity

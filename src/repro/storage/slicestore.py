@@ -177,6 +177,8 @@ class SliceStorage:
         shard = self._shards.pop(table_name, None)
         if shard is not None:
             self.disk.record_delete(shard.encoded_bytes)
+            for chain in shard.chains.values():
+                chain.evict_cached()
             epoch.bump(table_name)
 
     def shard(self, table_name: str) -> TableShard:

@@ -2,7 +2,8 @@
 
 Everything above ``storage/`` reaches column values and row visibility
 through the block cursor (``repro.exec.scan``). The leader-side packages
-must not materialize chains or index the per-row xid lists themselves.
+must not materialize chains or index the per-row xid lists themselves,
+and every executor scan on the leader reads through the decode cache.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -10,6 +11,7 @@ them reads a session's private state, parses SQL, writes ``stl_query``
 or fingerprints a result on its own.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -39,3 +41,24 @@ def test_engine_and_controlplane_read_storage_through_the_cursor():
 
 def test_server_and_replay_go_through_the_statement_envelope():
     assert offenders(("server", "replay"), PAST_THE_ENVELOPE) == []
+
+
+def test_leader_scans_read_through_the_decode_cache():
+    """Every scan_rows / scan_batches call in exec/ passes block_cache=,
+    except the workers' (DESIGN.md §8: forked workers get no cache)."""
+    root = Path(repro.__file__).parent / "exec"
+    calls = [
+        (path.name, node)
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "workers.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("scan_rows", "scan_batches")
+    ]
+    assert len(calls) >= 2
+    uncached = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if "block_cache" not in {kw.arg for kw in node.keywords}
+    ]
+    assert uncached == []

@@ -32,8 +32,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: Per-layer metrics no end-to-end metric isolates, by the traced workload
-#: that measures them: the write path, and the per-statement envelope.
+#: that measures them: decode and the executors, the write path, and the
+#: per-statement envelope.
 LAYERS = {
+    "scan_heavy": (
+        "storage.decode_cache_hit_ratio",
+        "storage.bytes_read_per_stmt",
+        "exec.ms_per_stmt.compiled",
+        "exec.ms_per_stmt.vectorized",
+    ),
     "mixed_etl": (
         "engine.delete_ms_p50",
         "engine.copy_batch_ms_p50",
