@@ -141,18 +141,6 @@ class ColumnBatch:
                 columns.append([col[i] for i in selection])
         return ColumnBatch(columns, len(selection))
 
-    def decoded(self) -> "ColumnBatch":
-        """A fresh batch of plain lists (dead columns stay dead, no row
-        memo): what may cross the worker pool. An :class:`EncodedColumn`
-        references its block and the scan's ``ScanStats``."""
-        return ColumnBatch(
-            [
-                col.materialize() if type(col) is EncodedColumn else col
-                for col in self.columns
-            ],
-            self.count,
-        )
-
 
 def _no_unresolved(ref: ast.ColumnRef) -> int:
     raise ExecutionError(f"unresolved column reference {ref.to_sql()!r}")

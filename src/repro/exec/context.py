@@ -143,9 +143,6 @@ class ParallelConfig:
     registry_id: int = 0
     #: Blocks per morsel: the scheduling quantum workers pull.
     morsel_blocks: int = 4
-    #: Row pipelines whose morsel output exceeds this fall back to
-    #: leader execution instead of shipping the rows across the pool.
-    row_ship_limit: int = 100_000
 
 
 @dataclass

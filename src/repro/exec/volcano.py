@@ -444,8 +444,7 @@ class VolcanoExecutor:
     def _shuffle_side(
         self, side: PhysicalNode, per_slice: PerSlice, key_index: int, width: int
     ) -> PerSlice:
-        """Hash-redistribute one join input. The parallel executor
-        overrides this to consume worker-side pre-partitioned buckets."""
+        """Hash-redistribute one join input."""
         return exchange.shuffle(
             self._one_copy(side, per_slice),
             lambda row: row[key_index],
@@ -815,9 +814,7 @@ class VolcanoExecutor:
 def redistributed_sides(node: PhysicalHashJoin) -> tuple[bool, bool]:
     """Which inputs of a hash join get hash-shuffled under its strategy.
 
-    (False, False) for co-located and broadcast joins. Shared with the
-    parallel executor, which must know before running a side whether its
-    rows will be redistributed (to push the bucketing into workers).
+    (False, False) for co-located and broadcast joins.
     """
     strategy = node.strategy
     if strategy in (

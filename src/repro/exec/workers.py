@@ -1,15 +1,16 @@
 """Per-slice worker pools and the morsel tasks they execute.
 
-The parallel executor (:mod:`repro.exec.parallel`) splits each eligible
-scan pipeline into *morsels* — contiguous block ranges of one shard —
-and runs them on a pool of workers. On Linux the pool is a fork-based
-``ProcessPoolExecutor``: forked children inherit the leader's in-memory
-slice stores through :data:`_SLICES` (a module-level registry populated
-before the fork), so a task ships only a small :class:`MorselTask` spec
-and a result ships only partial-aggregate states or a bounded list of
-plain-list column batches. A morsel is the serial vectorized engine's
-batch pipeline over a block range: the same cursor, kernels and
-per-batch steps (:mod:`repro.exec.batch`). Workers pass the cursor **no
+The parallel executor (:mod:`repro.exec.parallel`) splits the scan
+pipeline under each eligible aggregate into *morsels* — contiguous block
+ranges of one shard — and runs them on a pool of workers. On Linux the
+pool is a fork-based ``ProcessPoolExecutor``: forked children inherit
+the leader's in-memory slice stores through :data:`_SLICES` (a
+module-level registry populated before the fork), so a task ships only a
+small :class:`MorselTask` spec and a result ships only per-group partial
+aggregate states — never rows. A morsel is the serial vectorized
+engine's batch pipeline over a block range: the same cursor, kernels and
+per-batch steps (:mod:`repro.exec.batch`), ending in partial
+aggregation. Workers pass the cursor **no
 decode cache**, in any pool mode: a fork child's cache is a private copy,
 and its hits (which skip the disk charge and the byte accounting) would
 make serial, thread and fork runs disagree stat-for-stat.
@@ -87,18 +88,16 @@ def unregister_slices(registry_id: int) -> None:
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """A fused scan pipeline, self-contained and picklable.
+    """A fused scan → partial-aggregate pipeline, self-contained and
+    picklable.
 
     Expressions travel as AST nodes and become batch kernels inside the
     worker (compiled closures don't pickle). ``stages`` are applied bottom-up
     above the scan's own pushed-down ``filters``; each is ``("filter",
-    condition)`` or ``("project", expressions)``. When ``group_exprs``
-    is not None the pipeline ends in partial aggregation and the result
-    carries per-group states instead of rows; ``aggregates`` pairs each
-    aggregate object with its argument expression (None = COUNT(*)-style).
-    ``partition_slices`` > 0 asks for hash-join build-side partitioning:
-    rows come back pre-bucketed by ``stable_hash(row[partition_key])``
-    into that many destination lists.
+    condition)`` or ``("project", expressions)``. The surviving batches
+    fold into per-group states keyed by ``group_exprs`` (empty = one
+    global group); ``aggregates`` pairs each aggregate object with its
+    argument expression (None = COUNT(*)-style).
     """
 
     table: str
@@ -106,10 +105,8 @@ class PipelineSpec:
     zone_predicates: tuple
     filters: tuple = ()
     stages: tuple = ()
-    group_exprs: tuple | None = None
+    group_exprs: tuple = ()
     aggregates: tuple = ()
-    partition_key: int = 0
-    partition_slices: int = 0
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,6 @@ class MorselTask:
     include_tail: bool
     pipeline: PipelineSpec
     snapshot: Snapshot
-    row_ship_limit: int = 0
     #: Leader-drawn fault decision: the worker raises WorkerCrashError.
     crash: bool = False
     #: Query memory budget in bytes (0 = unbounded). Aggregate morsels
@@ -141,13 +137,8 @@ class MorselTask:
 class MorselResult:
     """What a worker ships back for one morsel."""
 
-    #: Pipeline output (row pipelines): plain-list ColumnBatches in scan
-    #: order — never an EncodedColumn, see ColumnBatch.decoded — or None.
-    batches: list | None = None
-    #: Per-destination-slice row buckets (partition pipelines), or None.
-    buckets: list | None = None
-    #: Per-group partial aggregate states (aggregate pipelines), or None.
-    partial: dict | None = None
+    #: Per-group partial aggregate states, in group first-seen order.
+    partial: dict = field(default_factory=dict)
     scan: ScanStats = field(default_factory=ScanStats)
     #: Encoded bytes per chain-block read, in read order — replayed
     #: through the leader's disk accounting.
@@ -157,9 +148,6 @@ class MorselResult:
     #: Rows emitted after each pipeline stage, in stage order.
     stage_rows: list = field(default_factory=list)
     elapsed_us: int = 0
-    #: Row pipeline exceeded row_ship_limit: no output is set and the
-    #: leader re-executes the morsel locally.
-    overflow: bool = False
     #: Spill ("write"|"read"|"delete", nbytes) ops in execution order —
     #: replayed through the leader's disk accounting like io_log — plus
     #: the morsel's spill counters for svl_query_summary/stv_query_spill.
@@ -174,7 +162,8 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
 
     Pool workers resolve the slice stores from the fork-inherited
     registry; the leader's inline path (parallelism 1, crash re-runs,
-    overflow fallbacks) passes its own *slices* directly.
+    morsels a replaced pool would not take) passes its own *slices*
+    directly.
     """
     if task.crash:
         raise WorkerCrashError(task.slice_id, "injected crash")
@@ -227,58 +216,38 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             if batch is not None:
                 yield batch
 
-    if pipeline.group_exprs is not None:
-        aggregates = [agg for agg, _ in pipeline.aggregates]
-        spill_log = None
-        if task.memory_limit:
-            # Governed morsel: same spillable map as the serial engines,
-            # but IO goes to an op log (no shared-state side effects).
-            spill_log = SpillLog()
-            states: dict = SpillableAggregateStates(
-                MemoryBudget(task.memory_limit),
-                spill_log.file_factory(),
-                f"{task.slice_id}-b{task.block_start}",
-                aggregates,
-            )
-        else:
-            states = {}
-        accumulate_batches(
-            states,
-            surviving(),
-            [make_value_kernel(expr) for expr in pipeline.group_exprs],
-            [
-                make_value_kernel(arg) if arg is not None else None
-                for _, arg in pipeline.aggregates
-            ],
+    aggregates = [agg for agg, _ in pipeline.aggregates]
+    spill_log = None
+    if task.memory_limit:
+        # Governed morsel: same spillable map as the serial engines,
+        # but IO goes to an op log (no shared-state side effects).
+        spill_log = SpillLog()
+        states: dict = SpillableAggregateStates(
+            MemoryBudget(task.memory_limit),
+            spill_log.file_factory(),
+            f"{task.slice_id}-b{task.block_start}",
             aggregates,
         )
-        if spill_log is not None:
-            result.partial = states.finish()
-            result.spill_log = spill_log.ops
-            result.spilled_bytes = states.bytes_written
-            result.spill_partitions = states.partitions_spilled
-            result.spill_bytes_read = states.bytes_read
-        else:
-            result.partial = states
     else:
-        batches = list(surviving())
-        if task.row_ship_limit and (
-            sum(batch.count for batch in batches) > task.row_ship_limit
-        ):
-            result.overflow = True
-        elif pipeline.partition_slices:
-            from repro.distribution.hashing import stable_hash
-
-            buckets: list[list] = [[] for _ in range(pipeline.partition_slices)]
-            key = pipeline.partition_key
-            for batch in batches:
-                for row in batch.rows():
-                    buckets[
-                        stable_hash(row[key]) % pipeline.partition_slices
-                    ].append(row)
-            result.buckets = buckets
-        else:
-            result.batches = [batch.decoded() for batch in batches]
+        states = {}
+    accumulate_batches(
+        states,
+        surviving(),
+        [make_value_kernel(expr) for expr in pipeline.group_exprs],
+        [
+            make_value_kernel(arg) if arg is not None else None
+            for _, arg in pipeline.aggregates
+        ],
+        aggregates,
+    )
+    if spill_log is not None:
+        result.partial = states.finish()
+        result.spill_log = spill_log.ops
+        result.spilled_bytes = states.bytes_written
+        result.spill_partitions = states.partitions_spilled
+        result.spill_bytes_read = states.bytes_read
+    else:
+        result.partial = states
     result.elapsed_us = int((time.perf_counter() - started) * 1_000_000)
     return result
 

@@ -91,11 +91,10 @@ class PhysicalNode:
     #: engine converts batches to rows at these boundaries.
     batch_capable: bool = False
 
-    #: Whether the parallel executor can push this node's subtree down to
-    #: per-slice workers as one fused morsel pipeline. Set by
-    #: :func:`mark_parallel_eligible`: true for scan-rooted chains of
-    #: Scan / Filter / Project (an Aggregate directly above such a chain
-    #: additionally pushes partial aggregation into the workers).
+    #: Whether this node's subtree is a per-slice Scan / Filter / Project
+    #: chain. Set by :func:`mark_parallel_eligible`; the parallel executor
+    #: consumes it only on an Aggregate's child, which it ships to
+    #: per-slice workers as one fused partial-aggregate morsel pipeline.
     parallel_eligible: bool = False
 
     @property
@@ -1322,9 +1321,10 @@ def mark_parallel_eligible(root: PhysicalNode) -> None:
     Eligible means the subtree is a pure per-slice pipeline: a Scan
     optionally topped by Filter / Project nodes. Such a chain reads one
     shard's blocks and touches no other slice's data, so it can run as
-    independent block-range morsels. Aggregates are not marked themselves
-    — the executor checks ``node.child.parallel_eligible`` and pushes
-    partial aggregation into the same worker pipeline when it holds.
+    independent block-range morsels. Only an aggregate's child is pushed
+    down: the executor checks ``node.child.parallel_eligible`` on an
+    Aggregate and runs the chain plus partial aggregation in the workers.
+    Every other eligible chain runs on the serial batch engine.
     """
     for child in root.children:
         mark_parallel_eligible(child)

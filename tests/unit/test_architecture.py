@@ -4,7 +4,9 @@ Everything above ``storage/`` reaches column values and row visibility
 through the block cursor (``repro.exec.scan``). The leader-side packages
 must not materialize chains or index the per-row xid lists themselves,
 and every executor scan on the leader reads through the decode cache.
-Generated code is compiled in one place, keyed by its source.
+Generated code is compiled in one place, keyed by its source. Parallel
+workers ship partial aggregates only: no row-shipping or join-partitioning
+path comes back.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -22,6 +24,9 @@ PAST_THE_CURSOR = re.compile(r"\.read_all\(|\b(?:insert|delete)_xids\[")
 PAST_THE_ENVELOPE = re.compile(
     r"session\._[a-z]|\._executor_kind|\._parallelism|\._pool_mode"
     r"|handle\._gate|parse_statement|record_query\(|result_fingerprint\("
+)
+WORKERS_SHIP_ROWS = re.compile(
+    r"row_ship_limit|partition_slices|_prebucketed|_assemble_buckets|\.overflow"
 )
 
 
@@ -78,3 +83,9 @@ def test_exec_compiles_only_through_the_code_cache():
         and getattr(node.func, "id", None) == "compile"
     ]
     assert calls and all(c.startswith("segmentcache.py:") for c in calls)
+
+
+def test_workers_ship_partial_aggregates_only():
+    """The parallel executor's row-shipping and join-partitioning worker
+    paths stay deleted (DESIGN.md §8: neither beat the serial engine)."""
+    assert offenders(("",), WORKERS_SHIP_ROWS) == []

@@ -43,14 +43,22 @@ def cluster():
     c.close()
 
 
+def _a_groups(**pipeline):
+    """A ``GROUP BY a`` + ``count(*)`` tail: ``a`` is unique per row in
+    both fixtures, so the group keys list every surviving row."""
+    pipeline.setdefault("group_exprs", (ast.BoundRef(0, INTEGER, "a"),))
+    pipeline.setdefault("aggregates", ((make_aggregate("count"), None),))
+    return pipeline
+
+
 def _spec(scan_filters=(), **pipeline):
     return PipelineSpec(
         table="t", column_names=["a", "b"], zone_predicates=[],
-        filters=tuple(scan_filters), **pipeline,
+        filters=tuple(scan_filters), **_a_groups(**pipeline),
     )
 
 
-def _tasks_for(cluster, spec, morsel_blocks=2, row_ship_limit=0, **task):
+def _tasks_for(cluster, spec, morsel_blocks=2, **task):
     """Morselize the spec's table by hand, mirroring the executor's split."""
     tasks = []
     snapshot = cluster.transactions.snapshot_latest()
@@ -68,15 +76,15 @@ def _tasks_for(cluster, spec, morsel_blocks=2, row_ship_limit=0, **task):
                     include_tail=(j == len(starts) - 1),
                     pipeline=spec,
                     snapshot=snapshot,
-                    row_ship_limit=row_ship_limit,
                     **task,
                 )
             )
     return tasks
 
 
-def _rows(result):
-    return [row for batch in result.batches for row in batch.rows()]
+def _keys(result):
+    """The morsel's group keys, in first-seen order."""
+    return [key[0] for key in result.partial]
 
 
 #: Every operate-on-compressed codec family; ``a`` is unique per row.
@@ -109,13 +117,19 @@ def _b_below(limit):
 
 class TestMorsels:
     def test_concatenated_morsels_reproduce_the_serial_scan(self, cluster):
-        """Every row exactly once, in serial scan order, however the
-        block ranges are cut."""
+        """Every row's group exactly once, in serial scan order (group-key
+        first-seen order), however the block ranges are cut."""
+        serial = cluster.connect(executor="vectorized")
+        want = [row[0] for row in serial.execute("SELECT a FROM t").rows]
+        assert sorted(want) == list(range(300))
         for quantum in (1, 2, 3, 100):
-            rows = []
+            keys, counts = [], []
             for task in _tasks_for(cluster, _spec(), morsel_blocks=quantum):
-                rows.extend(_rows(run_morsel(task, cluster.slice_stores)))
-            assert sorted(rows) == [(i, i % 7) for i in range(300)]
+                result = run_morsel(task, cluster.slice_stores)
+                keys.extend(_keys(result))
+                counts.extend(state[0] for state in result.partial.values())
+            assert keys == want, quantum
+            assert set(counts) == {1}, quantum
 
     def test_morsel_scan_stats_sum_to_the_serial_scan(self, cluster):
         serial = cluster.connect(executor="volcano")
@@ -128,47 +142,44 @@ class TestMorsels:
         assert got_blocks == want.blocks_read
         assert got_values == want.values_read
 
-    def test_overflow_flags_instead_of_shipping(self, cluster):
-        task = _tasks_for(cluster, _spec(), row_ship_limit=3)[0]
-        result = run_morsel(task, cluster.slice_stores)
-        assert result.overflow and result.batches is None
-
     def test_worker_registry_resolves_tasks_without_explicit_slices(
         self, cluster
     ):
         task = _tasks_for(cluster, _spec())[0]
-        assert _rows(run_morsel(task)) == _rows(
-            run_morsel(task, cluster.slice_stores)
-        )
+        assert run_morsel(task).partial == run_morsel(
+            task, cluster.slice_stores
+        ).partial
 
     def test_every_quantum_reproduces_the_vectorized_scan(
         self, encoded_cluster
     ):
         """Morsels are the serial batch pipeline cut into block ranges:
-        same rows in the same order, same ScanStats, for every cut."""
+        same groups in the same order, same ScanStats, for every cut."""
         cluster = encoded_cluster
         serial = cluster.connect(executor="vectorized")
         serial.execute("SET enable_result_cache = off")
         cluster.block_cache.clear()  # cold: workers never see the cache
-        want = serial.execute("SELECT a, b, c FROM m WHERE b < 5")
+        want = serial.execute(
+            "SELECT a, count(*) FROM m WHERE b < 5 GROUP BY a"
+        )
         assert want.stats.scan.encoding  # the compressed path engaged
         spec = PipelineSpec(
-            table="m", column_names=["a", "b", "c"], zone_predicates=[],
-            filters=(_b_below(5),),
+            table="m", column_names=["a", "b", None], zone_predicates=[],
+            filters=(_b_below(5),), **_a_groups(),
         )
         most_blocks = max(
             shard_block_count(store.shard("m"))
             for store in cluster.slice_stores
         )
         for quantum in range(1, most_blocks + 2):
-            rows, scan = [], ScanStats()
+            keys, scan = [], ScanStats()
             for task in _tasks_for(
                 cluster, spec, morsel_blocks=quantum, encoded=True
             ):
                 result = run_morsel(task, cluster.slice_stores)
-                rows.extend(_rows(result))
+                keys.extend(_keys(result))
                 scan.merge(result.scan)
-            assert rows == want.rows, quantum
+            assert keys == [row[0] for row in want.rows], quantum
             for counter in (
                 "blocks_total", "blocks_read", "blocks_skipped",
                 "chains_read", "bytes_read", "values_read",
@@ -180,26 +191,27 @@ class TestMorsels:
 
     def test_shipped_result_holds_no_encoded_column(self, encoded_cluster):
         """An EncodedColumn references its block and the worker's
-        ScanStats; neither may cross the pool boundary."""
+        ScanStats; neither may cross the pool boundary inside a partial
+        state."""
         shipped = 0
         for task in _tasks_for(
             encoded_cluster,
             PipelineSpec(
-                table="m", column_names=["a", None, "c"], zone_predicates=[]
+                table="m", column_names=["a", None, "c"], zone_predicates=[],
+                **_a_groups(aggregates=(
+                    (make_aggregate("count"), None),
+                    (make_aggregate("min"), ast.BoundRef(2, INTEGER, "c")),
+                )),
             ),
             encoded=True,
         ):
             result = run_morsel(task, encoded_cluster.slice_stores)
             assert result.scan.encoded_batches > 0
-            for batch in result.batches:
-                assert all(
-                    col is None or type(col) is list for col in batch.columns
-                )
             payload = pickle.dumps(result)
             assert b"EncodedColumn" not in payload
             assert b"repro.storage.block" not in payload
-            assert _rows(pickle.loads(payload)) == _rows(result)
-            shipped += len(result.batches)
+            assert pickle.loads(payload).partial == result.partial
+            shipped += len(result.partial)
         assert shipped
 
     def test_governed_aggregate_morsel_spills_to_its_log(self, cluster):
@@ -231,12 +243,14 @@ class TestMorsels:
 
 
 class TestEncodedMorsels:
-    QUERIES = (
+    AGGREGATES = (
         "SELECT b, count(*), sum(a), min(c) FROM m WHERE b <> 3 "
         "GROUP BY b ORDER BY b",
-        "SELECT a, b, c FROM m WHERE c >= 2 ORDER BY a",
         "SELECT count(*), sum(c), max(c) FROM m",
     )
+    #: Runs on the serial batch engine (no morsels), which reads the
+    #: decode cache the aggregates' ``off`` runs warmed: rows only.
+    ROWS = "SELECT a, b, c FROM m WHERE c >= 2 ORDER BY a"
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "fork"])
     def test_enable_encoded_scan_governs_the_workers(
@@ -249,16 +263,51 @@ class TestEncodedMorsels:
             executor="parallel", parallelism=2, pool_mode=mode
         )
         s.execute("SET enable_result_cache = off")
-        for sql in self.QUERIES:
+        for sql in (*self.AGGREGATES, self.ROWS):
             s.execute("SET enable_encoded_scan = on")
             on = s.execute(sql)
             s.execute("SET enable_encoded_scan = off")
             off = s.execute(sql)
             assert on.rows == off.rows == volcano.execute(sql).rows, sql
+            if sql == self.ROWS:
+                continue
             assert on.stats.scan.encoded_batches > 0, sql
             assert on.stats.scan.decode_bytes_avoided > 0, sql
             assert off.stats.scan.encoded_batches == 0, sql
             assert off.stats.scan.encoding == {}, sql
+
+
+class TestOnlyAggregatesFanOut:
+    """Row pipelines and shuffled join sides run on the serial batch
+    engine: no morsel is dispatched, so no slice reports worker work."""
+
+    QUERIES = (
+        "SELECT a, b FROM t WHERE b % 3 <> 1 ORDER BY a",
+        "SELECT d.name, count(*) FROM t JOIN d ON t.b = d.a "
+        "GROUP BY d.name ORDER BY d.name",
+    )
+
+    def test_row_pipeline_and_join_side_stay_serial(self, cluster):
+        setup = cluster.connect()
+        setup.execute("CREATE TABLE d (a int, name varchar(8)) DISTKEY(a)")
+        setup.execute(
+            "INSERT INTO d VALUES "
+            + ",".join(f"({i}, 'n{i % 3}')" for i in range(200))
+        )
+        plan = "\n".join(
+            r[0] for r in setup.execute("EXPLAIN " + self.QUERIES[1]).rows
+        )
+        assert "DS_DIST_OUTER" in plan  # t's rows are shuffled on b
+        volcano = cluster.connect(executor="volcano")
+        for mode in ("serial", "thread", workers.default_mode()):
+            s = cluster.connect(
+                executor="parallel", parallelism=2, pool_mode=mode
+            )
+            for sql in self.QUERIES:
+                result = s.execute(sql)
+                assert result.rows == volcano.execute(sql).rows, (mode, sql)
+                assert result.stats.slice_exec == [], (mode, sql)
+                assert s.execute("SELECT * FROM stv_slice_exec").rows == []
 
 
 class TestPools:

@@ -40,7 +40,12 @@ LAYERS = {
         "storage.bytes_read_per_stmt",
         "exec.ms_per_stmt.compiled",
         "exec.ms_per_stmt.vectorized",
+        "exec.ms_per_stmt.parallel",
         "exec.compile_us_first",
+        "workers.morsels_per_stmt",
+        "workers.busy_share",
+        "workers.leader_merge_us_p50",
+        "workers.cpu_ms_per_stmt",
     ),
     "mixed_etl": (
         "engine.delete_ms_p50",
