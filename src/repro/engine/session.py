@@ -1231,38 +1231,34 @@ class Session:
     def _update_statistics(self, table: TableInfo, xid: int) -> None:
         """Refresh optimizer statistics by scanning (ANALYZE / on-load)
         under the statement's snapshot, so the writing transaction's own
-        rows count."""
+        rows count, over vectors the decode cache holds.
+
+        Each column keeps the set of its visible values: HLL registers,
+        min and max are idempotent, and values Python holds equal hash
+        alike, so hashing each distinct value once is exact."""
         stats = TableStatistics(
             stale=False, total_bytes=self._cluster.table_bytes(table.name)
         )
         names = table.column_names
-        hlls = [HyperLogLog(10) for _ in names]
-        lows: list[object] = [None] * len(names)
-        highs: list[object] = [None] * len(names)
+        distinct: list[set] = [set() for _ in names]
         nulls = [0] * len(names)
         snapshot = self._cluster.transactions.snapshot(xid)
-        for _, batch in self._cluster.scan_table(table, snapshot, one_replica=True):
+        for _, batch in self._cluster.scan_table(
+            table, snapshot, one_replica=True, block_cache=self._cluster.block_cache
+        ):
             stats.row_count += batch.count
             for i, values in enumerate(batch.columns):
-                present = [value for value in values if value is not None]
-                nulls[i] += batch.count - len(present)
-                if not present:
-                    continue
-                for value in present:
-                    hlls[i].add(value)
-                low, high = min(present), max(present)
-                if lows[i] is None or low < lows[i]:
-                    lows[i] = low
-                if highs[i] is None or high > highs[i]:
-                    highs[i] = high
-        for i, name in enumerate(names):
+                nulls[i] += values.count(None)
+                distinct[i].update(values)
+        for name, values, null_count in zip(names, distinct, nulls):
+            values.discard(None)
             stats.columns[name] = ColumnStatistics(
-                low=lows[i],
-                high=highs[i],
+                low=min(values, default=None),
+                high=max(values, default=None),
                 null_fraction=(
-                    nulls[i] / stats.row_count if stats.row_count else 0.0
+                    null_count / stats.row_count if stats.row_count else 0.0
                 ),
-                distinct_count=hlls[i].cardinality(),
+                distinct_count=HyperLogLog(10).update(values).cardinality(),
             )
         table.statistics = stats
 

@@ -10,6 +10,7 @@ aggregate distributes), with relative error ≈ 1.04/sqrt(2**precision).
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from repro.distribution.hashing import stable_hash
 
@@ -43,17 +44,20 @@ class HyperLogLog:
 
     def add(self, value: object) -> None:
         """Add one value (hashed with the engine's stable 64-bit hash)."""
-        h = _mix(stable_hash(value))
-        index = h & (self._m - 1)
-        remainder = h >> self.precision
-        # Rank: position of the first set bit in the remaining 64-p bits.
-        rank = 1
-        width = 64 - self.precision
-        while rank <= width and not (remainder & 1):
-            remainder >>= 1
-            rank += 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
+        self.update((value,))
+
+    def update(self, values: Iterable[object]) -> "HyperLogLog":
+        """Add every value of *values* — the registers :meth:`add` sets one
+        value at a time, so a set of distinct values gives what its rows do."""
+        registers, mask, p = self._registers, self._m - 1, self.precision
+        for value in values:
+            h = _mix(stable_hash(value))
+            # Rank: position of the first set bit in the remaining 64-p bits.
+            remainder = h >> p
+            rank = (remainder & -remainder).bit_length() if remainder else 65 - p
+            if rank > registers[h & mask]:
+                registers[h & mask] = rank
+        return self
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         """Merge another sketch into this one (register-wise max)."""
@@ -78,13 +82,7 @@ class HyperLogLog:
 
     def _alpha(self) -> float:
         m = self._m
-        if m == 16:
-            return 0.673
-        if m == 32:
-            return 0.697
-        if m == 64:
-            return 0.709
-        return 0.7213 / (1 + 1.079 / m)
+        return {16: 0.673, 32: 0.697, 64: 0.709}.get(m, 0.7213 / (1 + 1.079 / m))
 
     @property
     def size_bytes(self) -> int:

@@ -4,6 +4,8 @@ the svl_table_stats / svl_column_stats / svl_query_summary surfaces."""
 import pytest
 
 from repro import Cluster
+from repro.distribution.hashing import stable_hash
+from repro.sql import hll
 
 
 @pytest.fixture
@@ -119,6 +121,51 @@ class TestCopyStatistics:
         session.execute("COPY t FROM 'stats://t' STATUPDATE OFF")
         assert source.statistics.stale is True
         assert source.statistics.row_count == 30  # incremental count only
+
+
+class TestRefreshCost:
+    """The refresh hashes each distinct value once, over vectors the
+    decode cache already holds."""
+
+    @pytest.fixture
+    def loaded(self, cluster, session):
+        session.execute("CREATE TABLE w (a int, b int, c int)")
+        cluster.register_inline_source(
+            "stats://w", [f"{i % 3}|{i % 7}|{i % 50}" for i in range(5000)]
+        )
+        session.execute("COPY w FROM 'stats://w' STATUPDATE OFF")
+        return cluster.catalog.table("w")
+
+    def test_analyze_hashes_each_distinct_value_once(
+        self, loaded, session, monkeypatch
+    ):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return stable_hash(value)
+
+        monkeypatch.setattr(hll, "stable_hash", counting)
+        session.execute("ANALYZE w")
+        assert len(calls) == 3 + 7 + 50
+        assert loaded.statistics.row_count == 5000
+
+    def test_analyze_reads_through_the_decode_cache(
+        self, loaded, cluster, session
+    ):
+        session.execute("SELECT * FROM w")
+        cache = cluster.block_cache
+        hits, misses = cache.hits, cache.misses
+        session.execute("ANALYZE w")
+        chain_blocks = sum(
+            len(store.shard("w").chain(name).blocks)
+            for store in cluster.slice_stores
+            if store.has_shard("w")
+            for name in loaded.column_names
+        )
+        assert chain_blocks > 0
+        assert cache.hits - hits == chain_blocks
+        assert cache.misses == misses
 
 
 class TestStatsSystemTables:

@@ -12,7 +12,9 @@ both. The output is the compact ``BENCH_<pr>.json`` of ROADMAP item 6:
 machine stamp, seed, and per workload and end-to-end metric the runs,
 median and quartiles of each side; plus the ``LAYERS`` metrics from one
 traced run per side of each workload named there. Run length is
-``BENCHMARK.json``'s.
+``BENCHMARK.json``'s. ``--claim mixed_etl.stmt_per_s`` names the gain the
+change claims and records whether it holds: better in at least nine of
+ten pairs, and in the median by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -116,10 +118,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=12)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD.METRIC")
     args = parser.parse_args(argv)
 
     workloads = [w["name"] for w in CONTRACT["workloads"]]
     metrics = {m["name"]: m for m in CONTRACT["end_to_end"]}
+    claim = args.claim.split(".", 1) if args.claim else None
+    if claim and (claim[0] not in workloads or claim[-1] not in metrics):
+        parser.error(f"--claim {args.claim}: no such workload.metric")
     sides = {"parent": args.parent, "change": args.change}
     runs = {w: {side: [] for side in sides} for w in workloads}
     for pair in range(args.pairs):
@@ -173,6 +179,18 @@ def main(argv=None) -> int:
                     for p, c in zip(values["parent"], values["change"])
                 ),
             }
+    if claim:
+        workload, name = claim
+        entry = point["workloads"][workload][name]
+        parent, change = entry["parent"], entry["change"]
+        sign = 1 if entry["better"] == "higher" else -1
+        point["claim"] = {
+            "workload": workload,
+            "metric": name,
+            "holds": entry["pairs_better"] >= 0.9 * args.pairs
+            and sign * (change["median"] - parent["median"])
+            > parent["q3"] - parent["q1"],
+        }
     args.out.write_text(dump(point))
     return 0
 
