@@ -8,11 +8,12 @@ fault plan against a running managed cluster:
 * a node crash armed to fire mid-query,
 * a silent bit-flip in one replicated block,
 
-then runs a query straight through it. The leader retries the failed
-segments while the recovery coordinator rebuilds the dead node from
-mirrors and scrub-and-repair fixes the corrupt block from its replica —
-the query still returns the right answer, and re-running the drill with
-the same seed reproduces the identical fault/recovery timeline.
+then runs a query straight through it. The query executes once: the
+recovery coordinator rebuilds the dead node from mirrors at the fault
+checkpoint that found it, and scrub-and-repair fixes the corrupt block
+from its replica before the scan reads that block again — the query
+still returns the right answer, and re-running the drill with the same
+seed reproduces the identical fault/recovery timeline.
 
 Run:  python examples/chaos_drill.py
 """
@@ -73,7 +74,7 @@ def main() -> None:
     print(
         f"\nquery under chaos: count={got[0]}, sum={got[1]} "
         f"({'CORRECT' if got == expected else 'WRONG'}) after "
-        f"{result.stats.segment_retries} segment retries"
+        f"{result.stats.recoveries} recoveries"
     )
 
     print("\nfault & recovery timeline:")

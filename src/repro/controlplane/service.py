@@ -156,7 +156,7 @@ class RedshiftService:
     def _install_recovery(self, managed: ManagedCluster) -> None:
         """Attach the shared fault injector and stand up query recovery.
 
-        Every cluster the service runs gets leader-side segment retry with
+        Every cluster the service runs gets recovery at the read with
         replica failover and scrub-and-repair; redundancy loss flips the
         managed state to READ_ONLY instead of failing the cluster."""
         engine = managed.engine

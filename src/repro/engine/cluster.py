@@ -17,6 +17,7 @@ import itertools
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.distribution.diststyle import DistStyle
@@ -169,8 +170,8 @@ class Cluster:
         self.server = None
         #: Shared fault injector; None until :meth:`attach_faults`.
         self.fault_injector = None
-        #: Callable(exc) -> bool set by a RecoveryCoordinator; sessions
-        #: consult it before retrying a failed query segment.
+        #: Callable(exc) -> bool set by a RecoveryCoordinator: it repairs a
+        #: recoverable fault so the read or checkpoint that met it reruns.
         self.recovery_handler: Callable[[Exception], bool] | None = None
         self._read_only_reason: str | None = None
 
@@ -375,18 +376,21 @@ class Cluster:
         *snapshot* sees — the slice walk of every whole-table reader
         outside the executors (DML, ANALYZE, resize), over the block
         cursor whose arguments these are; *column_names* default to all.
-        *one_replica* stops after the first shard of a DISTSTYLE ALL
-        table: each holds every logical row."""
+        *one_replica* stops after the first shard of a DISTSTYLE ALL table;
+        reads are charged to each slice's disk and recovered as a SELECT's."""
+        from repro.exec.context import recovered
         from repro.exec.scan import scan_batches
 
         if column_names is None:
             column_names = table.column_names
+        recover = partial(recovered, self.recovery_handler)
         for index, store in enumerate(self.slice_stores):
             if not store.has_shard(table.name):
                 continue
             shard = store.shard(table.name)
             for batch in scan_batches(
-                shard, column_names, zone_predicates, snapshot, **cursor
+                shard, column_names, zone_predicates, snapshot,
+                charge=store.disk.record_read, recover=recover, **cursor,
             ):
                 yield index, batch
             if one_replica and table.distribution.style is DistStyle.ALL:

@@ -26,13 +26,11 @@ from repro.engine.cluster import Cluster
 from repro.engine.resultcache import result_cache_key
 from repro.engine.transactions import BOOTSTRAP_XID
 from repro.errors import (
-    QUERY_RECOVERABLE_ERRORS,
     AnalysisError,
     ClusterReadOnlyError,
     CopyError,
     DataError,
     ExecutionError,
-    QueryRetryExhaustedError,
     ReproError,
     SpillCapacityError,
     TransactionError,
@@ -127,8 +125,8 @@ class _PlannedSelect:
     physical: object
     plan_text: str
     columns: list[str]
-    #: System-table rows materialized once per query (a stable snapshot
-    #: across retries); user tables are read from slice storage.
+    #: System-table rows materialized once per query; user tables are
+    #: read from slice storage.
     system_rows: dict[str, list[tuple]]
     sql_text: str
     #: Sorted user tables the plan scans: the burst router's freshness
@@ -151,9 +149,6 @@ def _on_off(name: str, value: object) -> bool:
 
 class Session:
     """One client connection to a cluster."""
-
-    #: Leader-side segment retries before a recoverable fault becomes fatal.
-    MAX_SEGMENT_RETRIES = 3
 
     def __init__(
         self,
@@ -271,7 +266,7 @@ class Session:
                 error=None if error is None else str(error),
                 executor=stats.executor if error is None else None,
                 rows=result.rowcount,
-                segment_retries=stats.segment_retries,
+                recoveries=stats.recoveries,
                 queue=self.queue_name,
                 session_id=self.session_id,
                 user_name=self.user_name,
@@ -464,8 +459,8 @@ class Session:
     def _context(
         self, cluster: Cluster, xid: int, executor: str
     ) -> ExecutionContext:
-        """One attempt's context: *cluster*'s storage, caches and fault
-        injector under this session's parameters."""
+        """The statement's context: *cluster*'s storage, caches, fault
+        injector and recovery handler under this session's parameters."""
         # Each query gets its own interconnect so its stats are scoped to
         # it; totals roll up to the cluster interconnect afterwards.
         from repro.engine.network import Interconnect
@@ -475,6 +470,7 @@ class Session:
             snapshot=cluster.transactions.snapshot(xid),
             interconnect=Interconnect(),
             fault_injector=cluster.fault_injector,
+            recovery_handler=cluster.recovery_handler,
             block_cache=cluster.block_cache,
             encoded_scan=self._enable_encoded_scan,
             segment_cache=cluster.segment_cache,
@@ -561,7 +557,7 @@ class Session:
     def _select_on(
         self, cluster: Cluster, planned: _PlannedSelect, xid: int, gate
     ) -> QueryResult:
-        """Cache → admit → execute[attempt n] against *cluster*'s storage
+        """Cache → admit → execute against *cluster*'s storage
         and caches, under this session's current parameters."""
         # Result cache: only autocommit SELECTs over user tables are
         # eligible. Inside an explicit transaction this session may read
@@ -608,48 +604,31 @@ class Session:
         xid: int,
         cache_key: str | None,
     ) -> QueryResult:
-        retries = 0
-        while True:
-            # Each attempt gets a fresh context: a retried segment restarts
-            # with clean scan/network accounting against repaired storage.
-            # Referenced-table epochs are re-captured per attempt for the
-            # same reason — recovery repairs storage (moving epochs)
-            # between attempts, and the stored entry must be validated
-            # against the state the winning attempt actually read.
-            entry_epochs = tuple(
-                epoch.table_epoch(table) for table in planned.scan_tables
-            )
-            ctx = self._context(cluster, xid, planned.executor)
-            if cache_key is not None:
-                # Cached (autocommit) SELECTs must freeze their snapshot
-                # AFTER the epoch capture above: a commit between the
-                # transaction-start snapshot and the capture would be
-                # invisible to the result yet already in the epochs,
-                # storing a stale entry that validates forever.
-                ctx.snapshot = cluster.transactions.statement_snapshot(xid)
-            ctx.system_rows = planned.system_rows
-            ctx.stats.executor = planned.executor
-            ctx.stats.plan_text = planned.plan_text
-            ctx.stats.segment_retries = retries
-            executor = _EXECUTORS[planned.executor](ctx)
-            start = time.perf_counter()
-            try:
-                rows = executor.execute(planned.physical)
-            except QUERY_RECOVERABLE_ERRORS as exc:
-                handler = cluster.recovery_handler
-                if handler is None:
-                    raise
-                retries += 1
-                if retries > self.MAX_SEGMENT_RETRIES or not handler(exc):
-                    raise QueryRetryExhaustedError(retries, exc) from exc
-                continue
-            finally:
-                # Whatever way the attempt ended — success, retry, shed,
-                # abort — its spill files are reclaimed here, so no temp
-                # bytes ever leak onto the slice disks.
-                if ctx.spill is not None:
-                    ctx.spill.release_all()
-            break
+        # A repair mid-statement moves epochs past this: the entry expires.
+        entry_epochs = tuple(
+            epoch.table_epoch(table) for table in planned.scan_tables
+        )
+        ctx = self._context(cluster, xid, planned.executor)
+        if cache_key is not None:
+            # Cached (autocommit) SELECTs must freeze their snapshot
+            # AFTER the epoch capture above: a commit between the
+            # transaction-start snapshot and the capture would be
+            # invisible to the result yet already in the epochs,
+            # storing a stale entry that validates forever.
+            ctx.snapshot = cluster.transactions.statement_snapshot(xid)
+        ctx.system_rows = planned.system_rows
+        ctx.stats.executor = planned.executor
+        ctx.stats.plan_text = planned.plan_text
+        executor = _EXECUTORS[planned.executor](ctx)
+        start = time.perf_counter()
+        try:
+            rows = executor.execute(planned.physical)
+        finally:
+            # Whatever way the statement ended — success, shed, abort —
+            # its spill files are reclaimed here, so no temp bytes ever
+            # leak onto the slice disks.
+            if ctx.spill is not None:
+                ctx.spill.release_all()
         ctx.stats.execute_seconds = time.perf_counter() - start
         ctx.stats.rows_returned = len(rows)
         if ctx.memory_budget is not None:

@@ -106,10 +106,9 @@ class NodeFailureError(ExecutionError):
 class WorkerCrashError(ExecutionError):
     """Raised inside a parallel worker killed by an injected crash.
 
-    Deliberately NOT in :data:`QUERY_RECOVERABLE_ERRORS`: the parallel
-    executor recovers from it internally by re-executing the failed
-    morsel serially on the leader, so it never reaches the session's
-    segment-retry loop.
+    Deliberately NOT in :data:`QUERY_RECOVERABLE_ERRORS`: no repair is
+    needed, so the parallel executor just re-executes the failed morsel
+    serially on the leader.
     """
 
     def __init__(self, slice_id: str, detail: str = ""):
@@ -123,8 +122,8 @@ class SpillCapacityError(ExecutionError):
     for more temp space (the disk is full, or a DISK_FULL fault window
     is active).
 
-    Deliberately NOT in :data:`QUERY_RECOVERABLE_ERRORS`: retrying the
-    segment would just fill the disk again. The session converts it into
+    Deliberately NOT in :data:`QUERY_RECOVERABLE_ERRORS`: writing the
+    spill again would just fill the disk again. The session converts it into
     a clean WLM shed — the query fails with this typed error, its temp
     files are reclaimed, and an ``stl_wlm_rule_action`` row records the
     shed — rather than crashing or leaking spill bytes.
@@ -137,17 +136,6 @@ class SpillCapacityError(ExecutionError):
         )
         self.disk_id = disk_id
         self.needed = needed
-
-
-class QueryRetryExhaustedError(ExecutionError):
-    """Raised when segment retry gives up after repeated recoverable faults."""
-
-    def __init__(self, attempts: int, last_error: Exception):
-        super().__init__(
-            f"query failed after {attempts} segment retries: {last_error}"
-        )
-        self.attempts = attempts
-        self.last_error = last_error
 
 
 class CopyError(ReproError):
@@ -342,6 +330,6 @@ class SnapshotNotFoundError(ControlPlaneError):
         self.snapshot_id = snapshot_id
 
 
-#: Faults a leader-side segment retry can clear once a recovery handler has
-#: repaired the cause (node failover, scrub-and-repair, transient media IO).
+#: Faults a recovery handler can repair (node failover, scrub-and-repair,
+#: transient media IO) so that the unit that met them runs again.
 QUERY_RECOVERABLE_ERRORS = (NodeFailureError, BlockCorruptionError, DiskMediaError)

@@ -6,8 +6,33 @@ from dataclasses import dataclass, field
 
 from repro.engine.network import Interconnect, NetworkStats
 from repro.engine.transactions import Snapshot
+from repro.errors import QUERY_RECOVERABLE_ERRORS
+from repro.faults.retry import with_backoff
 from repro.storage.chain import ScanStats
 from repro.storage.slicestore import SliceStorage
+
+
+def recovered(handler, op, again=None, stats=None):
+    """Run *op*, one recoverable unit (block read or charge, fault
+    checkpoint, morsel). On a :data:`QUERY_RECOVERABLE_ERRORS` fault
+    *handler* repairs the cause and the unit reruns — as *again*, a
+    re-fetch of what the repair replaced, if given — up to
+    ``RetryPolicy().max_attempts`` in all, approved repairs counted on
+    ``stats.recoveries``. Unhandled, refused or last, it surfaces as is."""
+    if handler is None:
+        return op()
+
+    def repair(_attempt: int, exc: Exception, _delay: float) -> None:
+        nonlocal op
+        if not handler(exc):
+            raise exc
+        if stats is not None:
+            stats.recoveries += 1
+        op = again or op
+
+    return with_backoff(
+        lambda: op(), retry_on=QUERY_RECOVERABLE_ERRORS, on_retry=repair
+    )
 
 
 @dataclass
@@ -68,8 +93,8 @@ class QueryStats:
     execute_seconds: float = 0.0
     executor: str = "volcano"
     plan_text: str = ""
-    #: Segments re-run by the leader after a recoverable fault.
-    segment_retries: int = 0
+    #: Repairs the recovery handler approved during this SELECT.
+    recoveries: int = 0
     #: True when the rows were served from the leader's result cache
     #: without execution (svl_query_summary.result_cache_hit).
     result_cache_hit: bool = False
@@ -155,6 +180,8 @@ class ExecutionContext:
     stats: QueryStats = field(default_factory=QueryStats)
     #: Shared fault injector; None means no faults are being injected.
     fault_injector: object = None
+    #: ``Cluster.recovery_handler``, asked by :meth:`recover`.
+    recovery_handler: object = None
     #: System-table rows materialized by the session before execution,
     #: keyed by table name. Scans of these tables read from here (rows
     #: live at the leader / slice 0) instead of slice storage.
@@ -173,9 +200,9 @@ class ExecutionContext:
     #: Per-query memory governor (:class:`repro.exec.spill.MemoryBudget`);
     #: None runs unbounded with no spilling — the pre-governor behaviour.
     memory_budget: object = None
-    #: The attempt's :class:`repro.storage.spillfile.SpillManager`. The
+    #: The statement's :class:`repro.storage.spillfile.SpillManager`. The
     #: session releases it in a ``finally`` so temp bytes never leak,
-    #: whatever way the attempt ends.
+    #: whatever way the statement ends.
     spill: object = None
 
     @property
@@ -186,13 +213,17 @@ class ExecutionContext:
     def parallelism(self) -> int:
         return self.parallel.degree if self.parallel is not None else 1
 
+    def recover(self, op, again=None):
+        """Run one unit of this statement through :func:`recovered`."""
+        return recovered(self.recovery_handler, op, again, self.stats)
+
     def check_faults(self) -> None:
-        """Fault checkpoint: fire any node crash scheduled for a node that
-        owns one of this query's slices. Executors call this at segment
-        boundaries — the points where a real leader detects a dead node."""
+        """Fault checkpoint: fire, and fail over, any node crash scheduled
+        for a node that owns one of this query's slices. Executors call
+        this at segment boundaries — where a real leader detects one."""
         if self.fault_injector is None:
             return
         for store in self.slices:
             # Slice ids look like "node-1-s0"; the prefix is the node id.
             node_id = store.slice_id.rsplit("-s", 1)[0]
-            self.fault_injector.check_node(node_id)
+            self.recover(lambda: self.fault_injector.check_node(node_id))

@@ -35,13 +35,15 @@ Failure handling: a morsel whose worker dies (injected WORKER_CRASH
 fault or a broken process pool) is re-executed serially on the leader
 and the recovery is logged; so — silently, nothing failed — is one the
 shared pool would not take because a concurrent session had just
-replaced it.
+replaced it. A morsel whose read met a corrupt block re-runs there too,
+once the recovery handler has repaired it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
 from repro.exec.context import SliceExec
 from repro.exec.scan import shard_block_count
@@ -62,7 +64,6 @@ from repro.plan.physical import (
     PhysicalProject,
     PhysicalScan,
 )
-from repro.storage.chain import ScanStats
 
 #: Node shapes a worker pipeline may contain.
 _PIPELINE_NODES = (PhysicalScan, PhysicalFilter, PhysicalProject)
@@ -172,7 +173,7 @@ class ParallelExecutor(VectorizedExecutor):
         for task, result in zip(tasks, results):
             disk = self._ctx.slices[task.slice_index].disk
             for nbytes in result.io_log:
-                disk.record_read(nbytes)
+                self._ctx.recover(partial(disk.record_read, nbytes))
             if result.spill_log:
                 self._ctx.spill.replay(disk, result.spill_log)
                 self._note_spill(aggregate, _WorkerSpill(result), disk.disk_id)
@@ -234,7 +235,7 @@ class ParallelExecutor(VectorizedExecutor):
         order, from the injector's "worker" stream — deterministic no
         matter how the OS schedules the pool. A crashed or pool-broken
         morsel is re-executed serially on the leader; so is one the pool
-        never took.
+        never took, and one whose read met a fault, once it is repaired.
         """
         injector = self._ctx.fault_injector
         prepared = []
@@ -260,12 +261,11 @@ class ParallelExecutor(VectorizedExecutor):
                 pass
         results: list[MorselResult] = []
         for i, task in enumerate(prepared):
+            inline = partial(run_morsel, task, self._ctx.slices)
             try:
-                results.append(
-                    futures[i].result()
-                    if i < len(futures)  # else: serial mode, or never taken
-                    else run_morsel(task, self._ctx.slices)
-                )
+                # Serial mode, or a morsel the pool never took, runs inline.
+                first = futures[i].result if i < len(futures) else inline
+                results.append(self._ctx.recover(first, inline))
             except WorkerCrashError:
                 results.append(self._recover(i, task))
             except BrokenProcessPool:
@@ -289,7 +289,8 @@ class ParallelExecutor(VectorizedExecutor):
             )
         entry = self._slice_entry(task)
         entry.crashes += 1
-        return run_morsel(replace(task, crash=False), self._ctx.slices)
+        task = replace(task, crash=False)
+        return self._ctx.recover(partial(run_morsel, task, self._ctx.slices))
 
     # ---- result assembly ---------------------------------------------------
 
@@ -341,10 +342,7 @@ class ParallelExecutor(VectorizedExecutor):
         morsels = len(tasks)
         scan_stat = self._begin_stat(scan)
         if scan_stat is not None:
-            local = self._scan_locals.get(scan_stat.step)
-            if local is None:
-                local = ScanStats()
-                self._scan_locals[scan_stat.step] = local
+            local = self._scan_local(scan_stat)
             for result in results:
                 local.merge(result.scan)
             scan_stat.rows += sum(r.scanned_rows for r in results)

@@ -47,6 +47,7 @@ def scan_blocks(
     charge: Callable[[int], None] | None = None,
     block_cache=None,
     encoded: bool = False,
+    recover=lambda op, again=None: op(),
 ) -> Iterator[tuple[list, list[int] | None, int]]:
     """Yield ``(columns, selection, count)`` per surviving row block.
 
@@ -78,6 +79,7 @@ def scan_blocks(
     ``disk.record_read`` on the leader, an IO log's ``append`` in a worker
     (the leader replays the log through the disk in morsel order, so disk
     accounting and injected media faults fire as in a serial scan).
+    *recover* re-runs one chain block's read or charge after a repair.
 
     *block_cache* (a :class:`repro.storage.blockcache.BlockDecodeCache`)
     serves decoded vectors across queries; hits skip the charge and the
@@ -122,6 +124,21 @@ def scan_blocks(
         (sealed[col_pos], op, literal) for col_pos, op, literal in zone_predicates
     ]
     offset = sum(block.count for block in lead[:block_start])
+
+    def read(block) -> tuple:
+        """The read decision: (block, vector, cache hit?, cache miss?)."""
+        if encoded and supports_block(block):
+            # A resident decoded vector is cheaper than the payload;
+            # otherwise hand the compressed column to the kernels.
+            values = block_cache.peek(block) if block_cache is not None else None
+            if values is not None:
+                return block, values, True, False
+            return block, _encoded_column(block, stats), False, False
+        if block_cache is not None:
+            values, hit = block_cache.lookup(block)
+            return block, values, hit, not hit
+        return block, block.read_vector(), False, False
+
     for k in range(block_start, block_end):
         row_count = lead[k].count
         skip = False
@@ -140,22 +157,10 @@ def scan_blocks(
             continue
         columns: list = [None] * width
         for position, blocks in sealed.items():
-            block = blocks[k]
-            hit = missed = False
-            if encoded and supports_block(block):
-                # A resident decoded vector is cheaper than the payload;
-                # otherwise hand the compressed column to the kernels.
-                values = (
-                    block_cache.peek(block) if block_cache is not None else None
-                )
-                hit = values is not None
-                if not hit:
-                    values = _encoded_column(block, stats)
-            elif block_cache is not None:
-                values, hit = block_cache.lookup(block)
-                missed = not hit
-            else:
-                values = block.read_vector()
+            # Re-fetch after a repair: a scrub swaps the block in its chain.
+            block, values, hit, missed = recover(
+                lambda: read(blocks[k]), lambda: read(chains[position].blocks[k])
+            )
             if stats is not None:
                 stats.chains_read += 1
                 stats.values_read += block.count
@@ -166,7 +171,7 @@ def scan_blocks(
                     if missed:
                         stats.cache_misses += 1
             if not hit and charge is not None:
-                charge(block.encoded_bytes)
+                recover(lambda: charge(block.encoded_bytes))
             columns[position] = values
         for position in offset_slots:
             columns[position] = range(offset, offset + row_count)

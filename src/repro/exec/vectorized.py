@@ -22,8 +22,6 @@ ANALYZE agree across all three engines.
 
 from __future__ import annotations
 
-import time
-
 from repro.exec import exchange
 from repro.exec.batch import (
     _compile,
@@ -45,7 +43,6 @@ from repro.plan.physical import (
     PhysicalScan,
 )
 from repro.sql import ast
-from repro.storage.chain import ScanStats
 
 
 class BatchList(list):
@@ -114,15 +111,7 @@ class VectorizedExecutor(VolcanoExecutor):
             # System-table rows live at the leader; the row path handles them.
             return super()._run_scan(node)
         stat = self._begin_stat(node)
-        if stat is None:
-            local = self._ctx.stats.scan
-            start = time.perf_counter()
-        else:
-            local = self._scan_locals.get(stat.step)
-            if local is None:
-                local = ScanStats()
-                self._scan_locals[stat.step] = local
-            start = self._start_times[stat.step]
+        local = self._scan_local(stat)
         column_names = scan_column_names(node)
         masks = [make_mask_kernel(f) for f in node.filters]
         out: PerSlice = []
@@ -139,6 +128,7 @@ class VectorizedExecutor(VolcanoExecutor):
                     charge=store.disk.record_read,
                     block_cache=self._ctx.block_cache,
                     encoded=self._ctx.encoded_scan,
+                    recover=self._ctx.recover,
                 ):
                     if stat is not None:
                         # Scan output is counted pre-filter, matching the
@@ -149,7 +139,7 @@ class VectorizedExecutor(VolcanoExecutor):
                         slice_batches.append(batch)
             out.append(slice_batches)
         if stat is not None:
-            self._touch(stat, start)
+            self._touch(stat, self._start_times[stat.step])
         return out
 
     # ---- filter / project --------------------------------------------------

@@ -106,6 +106,13 @@ class VolcanoExecutor:
             self._ctx.stats.operators.append(stat)
         return stat
 
+    def _scan_local(self, stat: OperatorStat | None) -> ScanStats:
+        """The ScanStats a scan accrues into: its step's own (folded in by
+        :meth:`_finish_stats`), or the query totals when unnumbered."""
+        if stat is None:
+            return self._ctx.stats.scan
+        return self._scan_locals.setdefault(stat.step, ScanStats())
+
     def _touch(self, stat: OperatorStat, start: float) -> None:
         elapsed = int((time.perf_counter() - start) * 1_000_000)
         if elapsed > stat.elapsed_us:
@@ -316,11 +323,7 @@ class VolcanoExecutor:
             # exchanges, joins and aggregates.
             return [rows] + [[] for _ in range(self._ctx.slice_count - 1)]
         column_names = scan_column_names(node)
-        if stat is None:
-            local = self._ctx.stats.scan
-        else:
-            local = ScanStats()
-            self._scan_locals[stat.step] = local
+        local = self._scan_local(stat)
         out: PerSlice = []
         for store in self._ctx.slices:
             if not store.has_shard(node.table.name):
@@ -335,6 +338,7 @@ class VolcanoExecutor:
                 stats=local,
                 charge=store.disk.record_read,
                 block_cache=self._ctx.block_cache,
+                recover=self._ctx.recover,
             )
             if stat is not None:
                 rows = self._counted_iter(

@@ -1,14 +1,14 @@
 """End-to-end failure recovery: the escalator side of fault injection.
 
-The :class:`RecoveryCoordinator` is the leader-side handler behind segment
-retry: when query execution hits a recoverable fault, the session calls
-:meth:`handle_query_fault`, which repairs the cause — replica failover for
-a dead node, scrub-and-repair for a corrupt block — and tells the session
-to retry. While redundancy is lost the cluster degrades to read-only
-rather than failing (§5: "design escalators, not elevators"); it returns
-to read-write once re-replication completes. Every action is appended to
-the shared fault injector's log so recovery is as reproducible as the
-faults themselves.
+The :class:`RecoveryCoordinator` is the leader-side handler behind recovery
+at the read: when a block read or charge, a fault checkpoint or a morsel
+hits a recoverable fault, :meth:`handle_query_fault` repairs the cause —
+replica failover for a dead node, scrub-and-repair for a corrupt block —
+and only that unit runs again, never the statement. While redundancy is
+lost the cluster degrades to read-only rather than failing (§5: "design
+escalators, not elevators"); it returns to read-write once
+re-replication completes. Every action is appended to the shared fault
+injector's log so recovery is as reproducible as the faults themselves.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ class RecoveryReport:
 
 
 class RecoveryCoordinator:
-    """Repairs faults so queries can retry instead of failing.
+    """Repairs faults so the read that met one can run again.
 
-    Installs itself as ``cluster.recovery_handler``; sessions consult that
-    hook when execution raises one of
-    :data:`repro.errors.QUERY_RECOVERABLE_ERRORS`.
+    Installs itself as ``cluster.recovery_handler``; the unit that raised
+    one of :data:`repro.errors.QUERY_RECOVERABLE_ERRORS` consults that
+    hook (``repro.exec.context.recovered``).
     """
 
     def __init__(
@@ -72,12 +72,12 @@ class RecoveryCoordinator:
         if self._injector is not None:
             self._injector.record(f"recovery:{action}", target, detail)
 
-    # ---- the segment-retry handler -----------------------------------------
+    # ---- the recovery handler ----------------------------------------------
 
     def handle_query_fault(self, exc: Exception) -> bool:
         """Repair the cause of a recoverable query fault.
 
-        Returns True when the session should retry the failed segment.
+        Returns True when the read or checkpoint that met it may run again.
         """
         if isinstance(exc, NodeFailureError):
             return self.recover_node(exc.node_id)
@@ -85,7 +85,7 @@ class RecoveryCoordinator:
             report = self.scrub()
             return report.blocks_repaired > 0 or report.succeeded
         if isinstance(exc, DiskMediaError):
-            # Transient by definition: the retry itself is the recovery.
+            # Transient by definition: the re-read itself is the recovery.
             self._record("media_retry", exc.disk_id, exc.op)
             return True
         return False

@@ -76,7 +76,7 @@ class SpillFile:
         An injected media error mid-read is retried with backoff — the
         partition is simply read again, logged as a
         ``recovery:spill_retry`` event — before being allowed to surface
-        to the session's segment-retry loop.
+        to the statement as a typed ``DiskMediaError``.
         """
         self._manager._accounted(
             lambda: self.disk.record_read(self.bytes_written),
@@ -94,11 +94,11 @@ class SpillFile:
 
 
 class SpillManager:
-    """All spill files of one query attempt, and their reclamation.
+    """All spill files of one query, and their reclamation.
 
-    The session creates one per execution attempt and releases it in a
-    ``finally`` — so temp bytes are reclaimed on success, on segment
-    retry, on a WLM shed and on transaction abort alike, and leaked
+    The session creates one per SELECT and releases it in a
+    ``finally`` — so temp bytes are reclaimed on success, on an
+    error, on a WLM shed and on transaction abort alike, and leaked
     spill space cannot accumulate across a fleet simulation.
     """
 
@@ -126,7 +126,7 @@ class SpillManager:
         return sum(f.bytes_written for f in self._files if not f.released)
 
     def release_all(self) -> None:
-        """Reclaim every spill file of the attempt (idempotent)."""
+        """Reclaim every spill file of the query (idempotent)."""
         for spill_file in self._files:
             spill_file.release()
 

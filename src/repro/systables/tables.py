@@ -54,7 +54,7 @@ SYSTEM_TABLE_COLUMNS: dict[str, list[tuple[str, object]]] = {
         ("elapsed_us", BIGINT),
         ("executor", varchar_type(16)),
         ("rows", BIGINT),
-        ("segment_retries", INTEGER),
+        ("recoveries", INTEGER),
         ("session_id", INTEGER),
         ("user_name", varchar_type(64)),
         ("result_fingerprint", varchar_type(64)),
@@ -297,7 +297,7 @@ class SystemTables:
         error: str | None = None,
         executor: str | None = None,
         rows: int = 0,
-        segment_retries: int = 0,
+        recoveries: int = 0,
         session_id: int = 0,
         user_name: str = "",
         result_fingerprint: str = "",
@@ -316,7 +316,7 @@ class SystemTables:
                 elapsed_us,
                 executor,
                 rows,
-                segment_retries,
+                recoveries,
                 session_id,
                 user_name,
                 result_fingerprint,

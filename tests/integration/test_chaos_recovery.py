@@ -1,9 +1,10 @@
 """The end-to-end chaos drill: a seeded fault schedule combining a
 mid-query node crash, transient S3 errors, and a silently corrupted block
-must (a) complete the query correctly via segment retry + replica
-failover, (b) scrub-repair the corrupt block with zero data loss, and
-(c) reproduce the identical fault timeline and recovery log when re-run
-with the same seed.
+must (a) complete the query correctly, executing it once, via replica
+failover at the fault checkpoint, (b) scrub-repair the corrupt block
+with zero data loss before the scan reads it again, and (c) reproduce
+the identical fault timeline and recovery log when re-run with the same
+seed.
 """
 
 import pytest
@@ -11,7 +12,9 @@ import pytest
 from repro.cloud import CloudEnvironment
 from repro.controlplane import RedshiftService
 from repro.controlplane.service import ClusterState
-from repro.errors import ClusterReadOnlyError, QueryRetryExhaustedError
+from repro.engine import session as session_module
+from repro.errors import ClusterReadOnlyError, NodeFailureError
+from repro.exec.codegen import CompiledExecutor
 from repro.faults import ChaosOrchestrator, FaultPlan
 
 ROWS = 4000
@@ -94,10 +97,28 @@ class TestChaosDrill:
         _, _, _, _, result, _ = _run_drill(seed=2015)
         assert result.rows == EXPECT
 
-    def test_recovery_used_segment_retry(self):
-        _, _, _, _, result, _ = _run_drill(seed=2015)
-        # The crash and the corruption each cost (at least) one retry.
-        assert result.stats.segment_retries >= 2
+    def test_each_fault_repaired_at_the_read(self):
+        _, _, _, injector, result, _ = _run_drill(seed=2015)
+        # The crash and the corruption are each repaired where they were
+        # met; the corrupt block is scrubbed once, not once per attempt.
+        assert result.stats.recoveries >= 2
+        kinds = [event.kind for event in injector.log]
+        assert kinds.count("recovery:scrub_start") == 1
+
+    def test_plan_executes_once(self, monkeypatch):
+        executions = []
+
+        class Counting(CompiledExecutor):
+            def execute(self, plan):
+                executions.append(plan)
+                return super().execute(plan)
+
+        monkeypatch.setitem(session_module._EXECUTORS, "compiled", Counting)
+        _, _, _, injector, result, _ = _run_drill(seed=2015)
+        assert result.rows == EXPECT
+        assert "recovery:failover_done" in [e.kind for e in injector.log]
+        # Setup ran no SELECT, so the drill query is the one execution.
+        assert len(executions) == 1
 
     def test_fault_and_recovery_events_logged(self):
         _, _, _, injector, _, victim = _run_drill(seed=2015)
@@ -214,14 +235,22 @@ class TestRetryExhaustion:
         session.execute("CREATE TABLE t (k int)")
         session.execute("INSERT INTO t VALUES (1),(2),(3)")
         plan = FaultPlan(seed=1)
-        for _ in range(10):  # more crashes than MAX_SEGMENT_RETRIES
+        for _ in range(10):  # more crashes than RetryPolicy().max_attempts
             plan.node_crash(0.0, "node-0")
-        cluster.attach_faults(FaultInjector(plan))
+        injector = FaultInjector(plan)
+        cluster.attach_faults(injector)
         # A handler that "recovers" but the node keeps crashing.
-        cluster.recovery_handler = lambda exc: True
-        with pytest.raises(QueryRetryExhaustedError) as info:
+        approved = []
+        cluster.recovery_handler = lambda exc: approved.append(exc) or True
+        with pytest.raises(NodeFailureError) as info:
             session.execute("SELECT count(*) FROM t")
-        assert info.value.attempts == session.MAX_SEGMENT_RETRIES + 1
+        # Five attempts at the checkpoint, four approved repairs between
+        # them; the fifth crash re-raises as it was thrown.
+        crashes = [e for e in injector.log if e.kind == "node_crash"]
+        assert len(crashes) == 5
+        assert len(approved) == 4
+        assert info.value not in approved
+        assert info.value.node_id == "node-0"
 
 
 class TestDiskFullSpillShedding:
@@ -276,8 +305,8 @@ class TestDiskFullSpillShedding:
 
     def test_disk_full_is_not_retried_as_recoverable(self):
         """Capacity exhaustion is not a transient fault: even with a
-        recovery handler installed the query sheds instead of burning
-        segment retries."""
+        recovery handler installed the query sheds instead of asking it
+        for a repair."""
         from repro.errors import SpillCapacityError
         from repro.faults import FaultInjector
 

@@ -10,7 +10,7 @@ Two acceptance scenarios from the concurrent-server work:
 
 2. **Chaos drill** — the same captured workload replayed while a
    :class:`FaultPlan` keeps WORKER_CRASH and DISK_MEDIA windows open.
-   With a :class:`RecoveryCoordinator` installed, segment retries must
+   With a :class:`RecoveryCoordinator` installed, recovery at the read must
    absorb every injected fault: zero result mismatches, zero new
    errors.
 """

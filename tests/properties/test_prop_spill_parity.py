@@ -12,8 +12,8 @@ subsystem's first invariant is that spilling is invisible to results.
 
 A fixed-seed companion test repeats representative queries with a
 ``DISK_MEDIA_WINDOW`` active, so spill reads/writes hit injected media
-errors and recover (backoff retry inside the spill layer, segment retry
-above it) — still bit-identical to the clean unbounded run.
+errors and recover (backoff retry inside the spill layer, per-block
+recovery in the scan) — still bit-identical to the clean unbounded run.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -150,7 +150,7 @@ def test_unbounded_sessions_never_spill():
 
 class TestSpillParityUnderMediaFaults:
     """Spilled execution with a DISK_MEDIA_WINDOW active recovers (spill
-    retries + segment retries) and stays bit-identical to a clean
+    retries + per-block scan recovery) and stays bit-identical to a clean
     unbounded run. Fixed seeds: the injector's draws are deterministic,
     so these scenarios replay identically every run."""
 
@@ -165,10 +165,9 @@ class TestSpillParityUnderMediaFaults:
     def _faulty_cluster(self, seed):
         cluster = _build()
         # One disk's IO (block reads AND spill IO) fails ~2% of the
-        # time. Spill reads/writes retry internally with backoff; scan
-        # reads surface to the session's segment retry. The rate is low
-        # enough that MAX_SEGMENT_RETRIES always absorbs the scan hits
-        # for this seed (deterministic draws).
+        # time. Spill reads/writes retry internally with backoff; a scan
+        # read's charge is re-run by the recovery handler, once per
+        # fault, up to RetryPolicy().max_attempts (deterministic draws).
         cluster.attach_faults(
             FaultInjector(
                 FaultPlan(seed=seed).disk_media_errors(

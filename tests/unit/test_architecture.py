@@ -6,7 +6,8 @@ must not materialize chains or index the per-row xid lists themselves,
 and every executor scan on the leader reads through the decode cache.
 Generated code is compiled in one place, keyed by its source. Parallel
 workers ship partial aggregates only: no row-shipping or join-partitioning
-path comes back.
+path comes back. A recoverable fault is repaired at the read that met it,
+through one helper; no statement-level retry comes back.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -27,6 +28,9 @@ PAST_THE_ENVELOPE = re.compile(
 )
 WORKERS_SHIP_ROWS = re.compile(
     r"row_ship_limit|partition_slices|_prebucketed|_assemble_buckets|\.overflow"
+)
+STATEMENT_RETRY = re.compile(
+    r"segment_retries|MAX_SEGMENT_RETRIES|QueryRetryExhaustedError"
 )
 
 
@@ -89,3 +93,41 @@ def test_workers_ship_partial_aggregates_only():
     """The parallel executor's row-shipping and join-partitioning worker
     paths stay deleted (DESIGN.md §8: neither beat the serial engine)."""
     assert offenders(("",), WORKERS_SHIP_ROWS) == []
+
+
+def test_no_statement_retry_comes_back():
+    """Recovery happens at the read that met the fault (DESIGN.md §5):
+    the statement-level retry loop, its budget and its error stay
+    deleted from the library and the examples."""
+    examples = Path(repro.__file__).parents[2] / "examples"
+    assert offenders(("",), STATEMENT_RETRY) == []
+    assert [
+        f"{path.name}:{number}"
+        for path in sorted(examples.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if STATEMENT_RETRY.search(line)
+    ] == []
+
+
+def test_recoverable_faults_are_caught_in_one_place():
+    """``QUERY_RECOVERABLE_ERRORS`` is defined in ``errors.py`` and used
+    only inside ``exec/context.py``'s ``recovered`` — the one helper every
+    recoverable unit (block read and charge, fault checkpoint, morsel)
+    runs through."""
+    root = Path(repro.__file__).parent
+    uses = [
+        (path.relative_to(root).as_posix(), node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "QUERY_RECOVERABLE_ERRORS"
+    ]
+    helper = next(
+        node
+        for node in ast.parse((root / "exec" / "context.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "recovered"
+    )
+    assert len(uses) == 1
+    path, line = uses[0]
+    assert path == "exec/context.py"
+    assert helper.lineno <= line <= helper.end_lineno
