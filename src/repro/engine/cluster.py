@@ -126,6 +126,10 @@ class Cluster:
         #: tables return their cached rows without execution (see
         #: stv_result_cache; per-session SET enable_result_cache).
         self.result_cache = QueryResultCache()
+        from repro.engine.session import PlanMemo
+
+        #: Client SELECT plans Session.execute reuses (DESIGN.md §9).
+        self.plan_memo = PlanMemo(self.catalog)
         from repro.exec.segmentcache import CodeCache
 
         #: Compiled-pipeline code, keyed by generated source and shared by

@@ -137,8 +137,9 @@ class QueryResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _get_valid(self, key: str) -> CacheEntry | None:
-        """Valid entry under *key* (lock held); drops a stale one."""
+    def _hit(self, key: str) -> CacheEntry | None:
+        """The valid entry under *key*, counted as a hit (lock held);
+        drops a stale one."""
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -146,6 +147,9 @@ class QueryResultCache:
             del self._entries[key]
             self.invalidations += 1
             return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        entry.hits += 1
         return entry
 
     def lookup(self, key: str) -> CacheEntry | None:
@@ -156,13 +160,9 @@ class QueryResultCache:
         invalidation and a miss.
         """
         with self._lock:
-            entry = self._get_valid(key)
+            entry = self._hit(key)
             if entry is None:
                 self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            entry.hits += 1
             return entry
 
     def lead_or_wait(
@@ -180,11 +180,8 @@ class QueryResultCache:
         waited = False
         while True:
             with self._lock:
-                entry = self._get_valid(key)
+                entry = self._hit(key)
                 if entry is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    entry.hits += 1
                     if waited:
                         self.flight_waits += 1
                     return entry, False

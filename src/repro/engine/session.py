@@ -9,7 +9,9 @@ ANALYZE [COMPRESSION], VACUUM [REINDEX], EXPLAIN, and transaction control.
 from __future__ import annotations
 
 import os
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.compression.analyzer import CompressionAnalyzer
@@ -50,7 +52,10 @@ from repro.exec.scan import ROW_OFFSET, scan_batches
 from repro.exec.vectorized import VectorizedExecutor
 from repro.exec.volcano import VolcanoExecutor, scan_column_names
 from repro.plan.binder import Binder
+from repro.plan.bound import LogicalScan
 from repro.plan.physical import PhysicalPlanner, PhysicalScan, explain
+from repro.sortkeys.compound import CompoundSortKey
+from repro.sortkeys.interleaved import InterleavedSortKey
 from repro.sql import ast
 from repro.sql.expressions import compile_expression
 from repro.sql.hll import HyperLogLog
@@ -135,6 +140,77 @@ class _PlannedSelect:
     executor: str
     #: Only the outermost SELECT of a statement faces WLM admission.
     top_level: bool
+    #: The result-cache key; None for a plan that scans system tables.
+    cache_key: str | None
+
+
+#: Client SELECT texts the plan memo keeps, seen-once marks included.
+PLAN_MEMO_CAPACITY = 256
+
+
+@dataclass(slots=True)
+class _Memo:
+    """A client statement's memo key and AST; once memoised, its plan and
+    per scanned table (TableInfo, TableStatistics, row_count, stale)."""
+
+    key: tuple
+    statement: ast.Statement
+    planned: _PlannedSelect | None = None
+    inputs: tuple = ()
+
+
+class PlanMemo:
+    """Bounded LRU of planned client SELECTs (DESIGN.md §9, statement
+    memo). A text is stored the second time it is planned; the first
+    leaves a plan-less mark, so texts that never repeat keep no plan."""
+
+    def __init__(self, catalog):
+        self._catalog = catalog
+        self._entries: OrderedDict[tuple, _Memo | None] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> _Memo | None:
+        """The entry of *key* while every planner input it read holds."""
+        with self._lock:
+            memo = self._entries.get(key)
+            if memo is not None:
+                self._entries.move_to_end(key)
+        if memo is None or any(
+            not self._catalog.has_table(info.name)
+            or self._catalog.table(info.name) is not info
+            or info.statistics is not stats
+            or [stats.row_count, stats.stale] != state
+            for info, stats, *state in memo.inputs
+        ):
+            return None
+        return memo
+
+    def offer(self, memo: _Memo) -> None:
+        """Mark a first sighting of *memo*'s text; store it on a later one."""
+        with self._lock:
+            self._entries[memo.key] = memo if memo.key in self._entries else None
+            self._entries.move_to_end(memo.key)
+            if len(self._entries) > PLAN_MEMO_CAPACITY:
+                self._entries.popitem(last=False)
+
+
+def _planner_inputs(node) -> tuple:
+    """What the planner reads of each table the logical plan scans."""
+    if isinstance(node, LogicalScan):
+        stats = node.table.statistics
+        return ((node.table, stats, stats.row_count, stats.stale),)
+    return tuple(item for child in node.children for item in _planner_inputs(child))
+
+
+def _positive_int(name: str, value: object) -> int:
+    """The value of ``SET name = <positive integer>``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise AnalysisError(f"{name} must be an integer, got {value!r}") from None
+    if number < 1:
+        raise AnalysisError(f"{name} must be positive, got {number}")
+    return number
 
 
 def _on_off(name: str, value: object) -> bool:
@@ -216,8 +292,12 @@ class Session:
     # ---- public API ---------------------------------------------------------
 
     def execute(self, sql: str) -> QueryResult:
-        """Execute exactly one SQL statement."""
-        return self._execute_statement(parse_statement(sql))
+        """Execute exactly one SQL statement. A SELECT text the plan memo
+        holds skips parse, bind and plan while its planner inputs hold."""
+        planner = self._planner
+        key = (sql, self._executor_kind, planner.enable_cbo, planner.slice_count)
+        memo = self._cluster.plan_memo.get(key) or _Memo(key, parse_statement(sql))
+        return self._execute_statement(memo.statement, memo)
 
     def execute_script(self, sql: str) -> list[QueryResult]:
         """Execute a semicolon-separated script, returning all results."""
@@ -234,7 +314,7 @@ class Session:
 
     # ---- the statement envelope ---------------------------------------------
 
-    def _execute_statement(self, statement: ast.Statement) -> QueryResult:
+    def _execute_statement(self, statement: ast.Statement, memo=None) -> QueryResult:
         """The one statement envelope. Every parsed client statement is
         timed, fingerprinted and written to stl_query here, once, however
         it ends; the exception it died with is re-raised unchanged."""
@@ -244,7 +324,7 @@ class Session:
         t0 = time.perf_counter()
         error: BaseException | None = None
         try:
-            result = self._run_statement(statement)
+            result = self._run_statement(statement, memo)
             if result.command == "SELECT":
                 result.result_fingerprint = result_fingerprint(
                     result.columns, result.rows
@@ -286,7 +366,7 @@ class Session:
             if stats.spill_events:
                 systables.record_query_spill(query_id, stats.spill_events)
 
-    def _run_statement(self, statement: ast.Statement) -> QueryResult:
+    def _run_statement(self, statement: ast.Statement, memo) -> QueryResult:
         """Transaction control, SET and plain EXPLAIN run as they are;
         everything else runs inside a transaction that is resolved in a
         ``finally``: an autocommit statement commits or rolls back however
@@ -325,7 +405,7 @@ class Session:
         xid = transactions.begin() if autocommit else self._xid
         ok = False
         try:
-            result = self._dispatch(statement, xid)
+            result = self._dispatch(statement, xid, memo)
             ok = True
             return result
         finally:
@@ -334,13 +414,13 @@ class Session:
             elif autocommit:
                 transactions.rollback(xid)
 
-    def _dispatch(self, statement: ast.Statement, xid: int) -> QueryResult:
+    def _dispatch(self, statement: ast.Statement, xid: int, memo) -> QueryResult:
         if self._cluster.read_only and isinstance(statement, _WRITE_STATEMENTS):
             # Degraded mode keeps answering reads (§5's escalator): only
             # statements that would mutate storage are refused.
             raise ClusterReadOnlyError(self._cluster.read_only_reason or "")
         if isinstance(statement, ast.SelectStatement):
-            return self._run_select(statement.query, xid, client=True)
+            return self._run_select(statement.query, xid, client=True, memo=memo)
         if isinstance(statement, ast.ExplainStatement):
             return self._explain_analyze(statement.statement, xid)
         if isinstance(statement, ast.CreateTableStatement):
@@ -376,36 +456,12 @@ class Session:
             except ValueError as exc:
                 raise AnalysisError(str(exc)) from exc
         elif name == "parallelism":
-            try:
-                degree = int(statement.value)
-            except (TypeError, ValueError):
-                raise AnalysisError(
-                    f"parallelism must be an integer, got {statement.value!r}"
-                ) from None
-            if degree < 1:
-                raise AnalysisError(
-                    f"parallelism must be positive, got {degree}"
-                )
-            self._parallelism = degree
+            self._parallelism = _positive_int(name, statement.value)
         elif name == "enable_result_cache":
             self._enable_result_cache = _on_off(name, statement.value)
         elif name == "query_memory_limit":
-            limit = None
-            if str(statement.value).lower() not in (
-                "off", "unlimited", "none", "0"
-            ):
-                try:
-                    limit = int(statement.value)
-                except (TypeError, ValueError):
-                    raise AnalysisError(
-                        "query_memory_limit expects bytes or off/unlimited, "
-                        f"got {statement.value!r}"
-                    ) from None
-                if limit < 1:
-                    raise AnalysisError(
-                        f"query_memory_limit must be positive, got {limit}"
-                    )
-            self._memory_limit = limit
+            off = str(statement.value).lower() in ("off", "unlimited", "none", "0")
+            self._memory_limit = None if off else _positive_int(name, statement.value)
         elif name == "enable_encoded_scan":
             self._enable_encoded_scan = _on_off(name, statement.value)
         elif name == "enable_cbo":
@@ -492,34 +548,54 @@ class Session:
         return ctx
 
     def _run_select(
-        self, query, xid: int, executor: str | None = None, client: bool = False
+        self, query, xid: int, executor=None, client=False, memo: _Memo | None = None
     ) -> QueryResult:
-        """Plan *query*, then cache → admit → execute it. *executor*
-        overrides the session's for this SELECT and its subqueries;
-        *client* marks a client's own SELECT statement, the only kind the
-        burst router is asked about."""
+        """Plan *query* (or take *memo*'s plan), then cache → admit →
+        execute it. *executor* overrides the session's for this SELECT
+        and its subqueries; *client* marks a client's own SELECT, the only
+        kind the burst router is asked about. *memo* is offered to the
+        plan memo unless a subquery or system table was read to plan."""
         executor = executor or self._executor_kind
         # Subqueries re-enter here from the expansion below.
         top_level = self._select_depth == 0
         self._select_depth += 1
         try:
-            expand_subqueries(
-                query, lambda inner: self._run_select(inner, xid, executor).rows
-            )
-            logical = self._binder.bind_select(query)
-            physical = self._planner.plan(logical)
-            self._cluster.workload.record_plan(physical)
-            scan_tables, system_rows = self._scanned_tables(physical)
-            planned = _PlannedSelect(
-                physical=physical,
-                plan_text=explain(physical),
-                columns=[c.name for c in logical.output],
-                system_rows=system_rows,
-                sql_text=query.to_sql(),
-                scan_tables=scan_tables,
-                executor=executor,
-                top_level=top_level,
-            )
+            planned = memo.planned if memo is not None else None
+            if planned is None:
+                inner = []  # the subqueries expansion ran
+
+                def run_inner(subquery):
+                    inner.append(subquery)
+                    return self._run_select(subquery, xid, executor).rows
+
+                expand_subqueries(query, run_inner)
+                logical = self._binder.bind_select(query)
+                inputs = _planner_inputs(logical)
+                physical = self._planner.plan(logical)
+                tables = sorted({info.name for info, *_ in inputs})
+                system_rows = {
+                    name: self._cluster.systables.rows(name)
+                    for name in tables
+                    if self._cluster.catalog.is_system_table(name)
+                }
+                sql_text, plan_text = query.to_sql(), explain(physical)
+                planned = _PlannedSelect(
+                    physical=physical,
+                    plan_text=plan_text,
+                    columns=[c.name for c in logical.output],
+                    system_rows=system_rows,
+                    sql_text=sql_text,
+                    scan_tables=tuple(t for t in tables if t not in system_rows),
+                    executor=executor,
+                    top_level=top_level,
+                    cache_key=None
+                    if system_rows
+                    else result_cache_key(sql_text, plan_text, executor),
+                )
+                if memo is not None and not inner and not system_rows:
+                    memo.planned, memo.inputs = planned, inputs
+                    self._cluster.plan_memo.offer(memo)
+            self._cluster.workload.record_plan(planned.physical)
             router = self.burst_router
             if client and router is not None and not planned.system_rows:
                 # Route before the cache lookup and before admission: a
@@ -549,7 +625,7 @@ class Session:
             router.failed(burst, exc)
             return None
         finally:
-            transactions.rollback(xid)  # read-only: nothing to commit
+            transactions.commit(xid)  # read-only: unlike rollback, aborts no xid
         router.completed(burst)
         result.routed_to = "burst"
         return result
@@ -563,18 +639,13 @@ class Session:
         # eligible. Inside an explicit transaction this session may read
         # its own uncommitted writes — rows no other query should be
         # served — and system-table rows have no mutation epochs to
-        # validate against.
+        # validate against (such a plan has no key).
         result_cache = cluster.result_cache
-        cache_key: str | None = None
+        cache_key = planned.cache_key
+        if not self._enable_result_cache or self._xid is not None:
+            cache_key = None
         owns_flight = False
-        if (
-            self._enable_result_cache
-            and self._xid is None
-            and not planned.system_rows
-        ):
-            cache_key = result_cache_key(
-                planned.sql_text, planned.plan_text, planned.executor
-            )
+        if cache_key is not None:
             # Single-flight: N concurrent sessions missing on the same
             # key execute once — one leads, the rest wait here and are
             # served the entry the leader stored.
@@ -646,7 +717,7 @@ class Session:
             )
             ctx.stats.result_cache_status = "miss"
         return QueryResult(
-            columns=planned.columns,
+            columns=list(planned.columns),
             rows=rows,
             rowcount=len(rows),
             stats=ctx.stats,
@@ -674,19 +745,18 @@ class Session:
     def _serve_cached(entry, planned: _PlannedSelect, gate) -> QueryResult:
         """Answer a SELECT from the result cache: no execution, and no
         WLM admission — the gate records a bypass instead."""
-        stats = QueryStats()
-        stats.executor = entry.executor
-        stats.plan_text = planned.plan_text
-        stats.result_cache_hit = True
-        stats.result_cache_status = "hit"
         rows = list(entry.rows)
-        stats.rows_returned = len(rows)
-        # One synthetic step (-1 never collides with a plan step, so
-        # EXPLAIN ANALYZE renders every plan line "(never executed)"):
-        # the hit still lands a row in svl_query_summary.
-        stats.operators = [
-            OperatorStat(step=-1, operator="Result Cache", rows=len(rows))
-        ]
+        stats = QueryStats(
+            rows_returned=len(rows),
+            executor=entry.executor,
+            plan_text=planned.plan_text,
+            result_cache_hit=True,
+            result_cache_status="hit",
+            # One synthetic step (-1 never collides with a plan step, so
+            # EXPLAIN ANALYZE renders every plan line "(never executed)"):
+            # the hit still lands a row in svl_query_summary.
+            operators=[OperatorStat(step=-1, operator="Result Cache", rows=len(rows))],
+        )
         if gate is not None and planned.top_level:
             gate.record_bypass(entry.sql)
         return QueryResult(
@@ -697,28 +767,6 @@ class Session:
             command="SELECT",
             sql_text=planned.sql_text,
         )
-
-    def _scanned_tables(
-        self, plan
-    ) -> tuple[tuple[str, ...], dict[str, list[tuple]]]:
-        """The user tables *plan* scans, sorted, and the provider rows of
-        every system table it scans, materialized here once."""
-        catalog = self._cluster.catalog
-        user: set[str] = set()
-        system: dict[str, list[tuple]] = {}
-
-        def walk(node) -> None:
-            if isinstance(node, PhysicalScan):
-                name = node.table.name
-                if not catalog.is_system_table(name):
-                    user.add(name)
-                elif name not in system:
-                    system[name] = self._cluster.systables.rows(name)
-            for child in node.children:
-                walk(child)
-
-        walk(plan)
-        return tuple(sorted(user)), system
 
     def _explain(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
@@ -809,57 +857,34 @@ class Session:
             )
             for c in statement.columns
         ]
+        self._new_table(statement, columns, statement.sortkey_interleaved)
+        return QueryResult(command="CREATE TABLE")
+
+    def _new_table(self, statement, columns, interleaved=False) -> TableInfo:
+        """Validate, catalog and store the table *statement* creates."""
+        sort_key = InterleavedSortKey if interleaved else CompoundSortKey
         info = TableInfo(
             name=statement.name,
             columns=columns,
             distribution=make_distribution(statement.diststyle, statement.distkey),
-            sort_key=self._make_sort_key(
-                statement.sortkey, statement.sortkey_interleaved
-            ),
+            sort_key=sort_key(statement.sortkey) if statement.sortkey else None,
         )
-        self._validate_table(info, statement.distkey, statement.sortkey)
+        for name in [statement.distkey, *statement.sortkey]:
+            if name is not None:
+                info.column(name)  # raises if missing
         self._cluster.catalog.create_table(info)
         self._cluster.create_table_storage(info)
-        return QueryResult(command="CREATE TABLE")
-
-    @staticmethod
-    def _make_sort_key(columns: list[str], interleaved: bool):
-        if not columns:
-            return None
-        from repro.sortkeys.compound import CompoundSortKey
-        from repro.sortkeys.interleaved import InterleavedSortKey
-
-        if interleaved:
-            return InterleavedSortKey(columns)
-        return CompoundSortKey(columns)
-
-    @staticmethod
-    def _validate_table(
-        info: TableInfo, distkey: str | None, sortkey: list[str]
-    ) -> None:
-        if distkey is not None:
-            info.column(distkey)  # raises if missing
-        for name in sortkey:
-            info.column(name)
+        return info
 
     def _create_table_as(
         self, statement: ast.CreateTableAsStatement, xid: int
     ) -> QueryResult:
         result = self._run_select(statement.query, xid)
         logical = self._binder.bind_select(statement.query)
-        columns = [
-            ColumnInfo(name=c.name, sql_type=c.sql_type)
-            for c in logical.output
-        ]
-        info = TableInfo(
-            name=statement.name,
-            columns=columns,
-            distribution=make_distribution(statement.diststyle, statement.distkey),
-            sort_key=self._make_sort_key(statement.sortkey, False),
+        info = self._new_table(
+            statement,
+            [ColumnInfo(name=c.name, sql_type=c.sql_type) for c in logical.output],
         )
-        self._validate_table(info, statement.distkey, statement.sortkey)
-        self._cluster.catalog.create_table(info)
-        self._cluster.create_table_storage(info)
         count = self._cluster.distribute_rows(info, result.rows, xid)
         self._cluster.seal_table(info.name)
         self._update_statistics(info, xid)
@@ -1110,12 +1135,14 @@ class Session:
 
     # ---- ANALYZE / VACUUM -------------------------------------------------------------------
 
+    def _named_tables(self, statement) -> list[str]:
+        """The table ANALYZE / VACUUM names, else every user table."""
+        if statement.table:
+            return [statement.table]
+        return self._cluster.catalog.table_names()
+
     def _analyze(self, statement: ast.AnalyzeStatement, xid: int) -> QueryResult:
-        names = (
-            [statement.table]
-            if statement.table
-            else self._cluster.catalog.table_names()
-        )
+        names = self._named_tables(statement)
         if statement.compression:
             if not statement.table:
                 raise AnalysisError("ANALYZE COMPRESSION requires a table name")
@@ -1145,11 +1172,7 @@ class Session:
         )
 
     def _vacuum(self, statement: ast.VacuumStatement, xid: int) -> QueryResult:
-        names = (
-            [statement.table]
-            if statement.table
-            else self._cluster.catalog.table_names()
-        )
+        names = self._named_tables(statement)
         for name in names:
             table = self._cluster.catalog.table(name)
             self._sort_table(table, xid, reclaim=True)

@@ -3,9 +3,9 @@
 "The leader node ... coordinates serialization and state of transactions"
 (paper §2.1). The engine is single-process, so the manager's job is the
 bookkeeping that makes MVCC semantics observable: every statement runs
-against a :class:`Snapshot` of committed transaction ids; writers stamp
-rows with their xid; rollback simply leaves the xid uncommitted, making
-its rows permanently invisible (space is reclaimed by VACUUM).
+against a :class:`Snapshot`; writers stamp rows with their xid; rollback
+records the xid as aborted, making its rows permanently invisible (space
+is reclaimed by VACUUM).
 
 Write-write conflicts are detected at commit: two overlapping transactions
 that delete the same row cannot both commit (first committer wins).
@@ -23,56 +23,73 @@ from repro.storage import epoch
 BOOTSTRAP_XID = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snapshot:
-    """The set of transactions visible to a statement."""
+    """What a statement sees, in PostgreSQL's shape: its own xid, and each
+    xid below *xmax* neither in flight when it was taken nor aborted.
+
+    *aborted* is the manager's append-only set, shared rather than
+    copied: an xid aborted after the snapshot was taken was in flight
+    then or is at least *xmax*, so its arrival changes nothing here.
+    """
 
     xid: int
-    committed: frozenset[int]
+    xmax: int
+    in_flight: frozenset[int]
+    aborted: set[int] | frozenset[int]
 
     def can_see(self, insert_xid: int, delete_xid: int | None) -> bool:
         """MVCC visibility: inserted by a visible txn (or ourselves) and not
-        deleted by a visible txn (or ourselves)."""
-        inserted = insert_xid == self.xid or insert_xid in self.committed
-        if not inserted:
+        deleted by one. A txn is visible when it is ours, or below *xmax*
+        and neither in flight nor aborted."""
+        if insert_xid != self.xid and (
+            insert_xid >= self.xmax
+            or insert_xid in self.in_flight
+            or insert_xid in self.aborted
+        ):
             return False
-        if delete_xid is None:
-            return True
-        deleted = delete_xid == self.xid or delete_xid in self.committed
-        return not deleted
+        return delete_xid is None or delete_xid != self.xid and (
+            delete_xid >= self.xmax
+            or delete_xid in self.in_flight
+            or delete_xid in self.aborted
+        )
 
 
 @dataclass
 class _Transaction:
-    xid: int
-    snapshot_committed: frozenset[int]
+    #: The transaction-start snapshot (repeatable read).
+    snapshot: Snapshot
+    #: The oldest xid in flight at begin, else its own.
+    xmin: int
     deleted_rows: set[tuple[str, str, int]] = field(default_factory=set)
     #: Tables this transaction wrote (insert/delete/vacuum funnels call
     #: record_write). Their epochs bump again when the outcome resolves —
     #: commit makes the rows visible without touching storage, which a
     #: result-cache entry stored mid-flight would otherwise survive.
     written_tables: set[str] = field(default_factory=set)
-    active: bool = True
 
 
 class TransactionManager:
     """Allocates xids, tracks commit state, detects delete conflicts.
 
     All state transitions happen under one lock: concurrent sessions
-    begin/commit from their own threads, and an unlocked
-    ``frozenset(self._committed)`` racing a commit's ``set.add`` is a
-    RuntimeError ("set changed size during iteration") waiting to fire.
-    The lock serializes commit itself, which is also what makes
-    first-committer-wins conflict detection sound under concurrency.
+    begin/commit from their own threads, and the lock serializes commit
+    itself, which is what makes first-committer-wins conflict detection
+    sound under concurrency. A snapshot costs O(active transactions).
     """
 
     def __init__(self) -> None:
         self._next_xid = 1
-        self._committed: set[int] = {BOOTSTRAP_XID}
         self._active: dict[int, _Transaction] = {}
-        #: (table, slice_id, row_offset) -> xid that committed a delete of it
-        self._committed_deletes: dict[tuple[str, str, int], int] = {}
+        self._aborted: set[int] = set()
+        #: (winner xid, rows it deleted) per committed delete that a live
+        #: snapshot may not see; pruned as the oldest xmin advances.
+        self._committed_deletes: list[tuple[int, set[tuple[str, str, int]]]] = []
         self._lock = threading.Lock()
+
+    def _snapshot(self, xid: int) -> Snapshot:
+        """Everything committed right now, as seen by *xid* (lock held)."""
+        return Snapshot(xid, self._next_xid, frozenset(self._active), self._aborted)
 
     def begin(self) -> int:
         """Start a transaction; returns its xid."""
@@ -80,7 +97,7 @@ class TransactionManager:
             xid = self._next_xid
             self._next_xid += 1
             self._active[xid] = _Transaction(
-                xid=xid, snapshot_committed=frozenset(self._committed)
+                self._snapshot(xid), min(self._active, default=xid)
             )
             return xid
 
@@ -91,8 +108,7 @@ class TransactionManager:
         we match that (repeatable read within a transaction).
         """
         with self._lock:
-            txn = self._require(xid)
-            return Snapshot(xid=xid, committed=txn.snapshot_committed)
+            return self._require(xid).snapshot
 
     def record_delete(self, xid: int, table: str, slice_id: str, offset: int) -> None:
         """Note that *xid* deleted a row (for conflict detection at commit)."""
@@ -120,21 +136,27 @@ class TransactionManager:
         """Commit, failing with SerializationError on write-write conflict."""
         with self._lock:
             txn = self._require(xid)
-            for key in txn.deleted_rows:
-                winner = self._committed_deletes.get(key)
-                if winner is not None and winner not in txn.snapshot_committed:
-                    txn.active = False
-                    del self._active[xid]
+            del self._active[xid]
+            for winner, rows in self._committed_deletes:
+                if not txn.snapshot.can_see(winner, None) and not rows.isdisjoint(
+                    txn.deleted_rows
+                ):
+                    self._aborted.add(xid)
                     for table in txn.written_tables:
                         epoch.bump(table)
                     raise SerializationError(
                         f"transaction {xid} conflicts with concurrent delete of "
-                        f"row {key} by transaction {winner}"
+                        f"row {min(rows & txn.deleted_rows)} by transaction {winner}"
                     )
-            for key in txn.deleted_rows:
-                self._committed_deletes[key] = xid
-            self._committed.add(xid)
-            del self._active[xid]
+            if txn.deleted_rows:
+                self._committed_deletes.append((xid, txn.deleted_rows))
+            # A winner below every live xmin is seen by every live and
+            # future snapshot, so it can conflict with no one.
+            live = self._active.values()
+            horizon = min((t.xmin for t in live), default=self._next_xid)
+            self._committed_deletes = [
+                entry for entry in self._committed_deletes if entry[0] >= horizon
+            ]
             written = txn.written_tables
         # Epoch bumps after the commit point: a reader that sees the new
         # epoch re-reads and finds the rows already visible.
@@ -142,11 +164,12 @@ class TransactionManager:
             epoch.bump(table)
 
     def rollback(self, xid: int) -> None:
-        """Abort: the xid never enters the committed set, so its effects are
+        """Abort: the xid joins the aborted set, so its effects are
         invisible forever."""
         with self._lock:
             txn = self._require(xid)
             del self._active[xid]
+            self._aborted.add(xid)
             written = txn.written_tables
         for table in written:
             epoch.bump(table)
@@ -160,29 +183,22 @@ class TransactionManager:
         ``begin()`` froze the transaction-start snapshot. A commit
         landing in that gap would be invisible to the frozen snapshot
         yet already counted in the captured epochs, leaving a stale
-        entry that validates forever. Freezing the committed set after
-        the epoch capture closes the gap: any commit the statement
-        cannot see must bump its tables' epochs later, killing the
-        entry.
+        entry that validates forever. Taking this snapshot after the
+        epoch capture closes the gap: any commit the statement cannot
+        see must bump its tables' epochs later, killing the entry.
         """
         with self._lock:
             self._require(xid)
-            return Snapshot(xid=xid, committed=frozenset(self._committed))
+            return self._snapshot(xid)
 
     def snapshot_latest(self) -> Snapshot:
         """A read-only snapshot of everything committed so far (used by
         maintenance paths such as statistics collection)."""
         with self._lock:
-            return Snapshot(xid=-1, committed=frozenset(self._committed))
+            return self._snapshot(-1)
 
     def is_committed(self, xid: int) -> bool:
-        with self._lock:
-            return xid in self._committed
-
-    @property
-    def committed_xids(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._committed)
+        return xid >= 0 and self.snapshot_latest().can_see(xid, None)
 
     @property
     def active_count(self) -> int:

@@ -541,7 +541,7 @@ class SystemRJoinEnumerator:
                 equi_keys=keys_local,
                 left=e1.side_info(region),
                 right=e2.side_info(region),
-                slices=self._planner._slices,
+                slices=self._planner.slice_count,
             )
             decision = self._planner._operator_selection.select_join_operators(
                 site
@@ -551,7 +551,7 @@ class SystemRJoinEnumerator:
             partitioning = self._hash_partitioning(e1, e2, decision, edge_ids)
         else:
             # Cross/theta join: nested loop, inner side broadcast.
-            move = e2.est_bytes * (self._planner._slices - 1)
+            move = e2.est_bytes * (self._planner.slice_count - 1)
             cpu = e1.est_rows * e2.est_rows * width
             partitioning = (
                 e1.partitioning if e1.partitioning.kind != "all" else RR

@@ -412,8 +412,8 @@ class PhysicalPlanner:
         if slice_count < 1:
             raise ValueError(f"slice_count must be positive, got {slice_count}")
         self._catalog = catalog
-        self._slices = slice_count
-        self._enable_cbo = enable_cbo
+        self.slice_count = slice_count
+        self.enable_cbo = enable_cbo
         if operator_selection is None:
             from repro.plan.optimizer import default_operator_selection
 
@@ -634,7 +634,7 @@ class PhysicalPlanner:
         order (outer joins), or the region exceeds :attr:`MAX_DP_LEAVES`
         — the caller then falls back to written-order conversion.
         """
-        if not self._enable_cbo:
+        if not self.enable_cbo:
             return None
         if node.kind not in (ast.JoinKind.INNER, ast.JoinKind.CROSS):
             return None
@@ -677,7 +677,7 @@ class PhysicalPlanner:
         from repro.plan.optimizer import JoinSite
 
         site = JoinSite.from_nodes(
-            self, kind, equi_keys, left, right, self._slices
+            self, kind, equi_keys, left, right, self.slice_count
         )
         decision = self._operator_selection.select_join_operators(site)
         est = self._estimate_join_rows(kind, equi_keys, residual, left, right)

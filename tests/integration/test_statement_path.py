@@ -1,9 +1,10 @@
-"""The one statement path: parse once, route inside, record once.
+"""The one statement path: parse at most once, route inside, record once.
 
 ``Session.execute`` is the only statement envelope: whatever front door a
 statement came through (bare session, ``ClusterServer``, burst routing,
-replay) it is parsed once, its transaction is resolved however it ends,
-and it leaves exactly one ``stl_query`` row on main. A routed statement
+replay) it is parsed at most once (never on a plan-memo hit), its
+transaction is resolved however it ends, and it leaves exactly one
+``stl_query`` row on main. A routed statement
 is the main session's own SELECT stage pointed at the burst cluster, so
 it runs under that session's current parameters.
 """
@@ -13,6 +14,8 @@ import sys
 import pytest
 
 from repro.faults.plan import FaultKind, FaultSpec
+from repro.plan.binder import Binder
+from repro.plan.physical import PhysicalPlanner
 from repro.replay import capture_workload, replay
 from repro.server import BurstConfig, ClusterServer
 from repro.systables.tables import SYSTEM_TABLE_COLUMNS
@@ -123,7 +126,21 @@ def test_explain_analyze_failure_leaves_the_session_executor_alone(cluster):
     assert session.execute("SELECT a FROM t ORDER BY a").stats.executor == "compiled"
 
 
-# ---- one parse per client statement, whichever route it takes ----------------
+# ---- at most one parse per client statement, whichever route it takes -------
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Counts ``Binder.bind_select`` and ``PhysicalPlanner.plan`` calls."""
+    calls = []
+    for cls, name in ((Binder, "bind_select"), (PhysicalPlanner, "plan")):
+
+        def counting(self, node, _real=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _real(self, node)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
 
 
 def test_one_parse_on_a_plain_session_and_through_the_server(
@@ -134,18 +151,54 @@ def test_one_parse_on_a_plain_session_and_through_the_server(
     assert len(parse_count) == 1
     server = ClusterServer(cluster)
     handle = server.open_session()
+    counts = []
+    for execute in (handle.execute, handle.execute, session.execute):
+        del parse_count[:]
+        execute("SELECT count(*) FROM t")
+        counts.append(len(parse_count))
+    # The second sighting enters the cluster's plan memo; from then on
+    # a repeat parses nothing, whichever session sends it.
+    assert counts == [1, 1, 0]
+    server.shutdown()
+
+
+def test_a_memo_hit_skips_parse_bind_and_plan_but_not_the_rest(
+    cluster, parse_count, plan_calls
+):
+    server = ClusterServer(cluster)
+    handle = server.open_session()
+    _table(handle.execute)
+    sql = "SELECT a, b FROM t ORDER BY a"
+    text = _canonical(sql)
+    calls = []
+    for _ in range(3):
+        del parse_count[:], plan_calls[:]
+        hit = handle.execute(sql)
+        calls.append((len(parse_count), sorted(plan_calls)))
+    planned = (1, ["bind_select", "plan"])
+    assert calls == [planned, planned, (0, [])]
+    assert hit.stats.result_cache_hit and hit.rows == [(1, "x"), (2, "y")]
+    recorded = [r for r in stl_query(cluster) if r[COL["querytxt"]] == text]
+    assert [r[COL["state"]] for r in recorded] == ["success"] * 3
+    # With its entry gone, a memo hit executes and fills the result cache.
+    cluster.result_cache.clear()
     del parse_count[:]
-    handle.execute("SELECT count(*) FROM t")
-    assert len(parse_count) == 1
+    refill = handle.execute(sql)
+    assert refill.stats.result_cache_status == "miss"
+    assert len(cluster.result_cache) == 1
+    assert handle.execute(sql).stats.result_cache_hit
+    assert (len(parse_count), plan_calls) == (0, [])
     server.shutdown()
 
 
 def test_one_parse_when_routed_and_when_routed_then_fallen_back(
     routing, parse_count
 ):
+    # The harness ran this text twice already (its loader, then a queued
+    # session), so it is a memo hit: no parse, but it still routes.
     routing.handle.execute(DRILL_QUERIES[1])
     assert routing.router.routed == 2
-    assert len(parse_count) == 1
+    assert len(parse_count) == 0
 
     # The next routed statement lands on a crashing burst node.
     text = _canonical(DRILL_QUERIES[2])

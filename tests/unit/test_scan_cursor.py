@@ -12,7 +12,8 @@ COUNTERS = (
     "blocks_total", "blocks_read", "blocks_skipped", "chains_read",
     "bytes_read", "values_read",
 )
-SNAPSHOT = Snapshot(xid=9, committed=frozenset({1, 2}))
+#: Sees xids 1 and 2; xid 3 is still in flight.
+SNAPSHOT = Snapshot(xid=9, xmax=4, in_flight=frozenset({3}), aborted=frozenset())
 SKIP_FIRST_BLOCK = [(0, ">=", 4)]
 
 
