@@ -238,8 +238,8 @@ class Cluster:
         """Open a session (the ODBC/JDBC connection analogue).
 
         ``parallelism`` and ``pool_mode`` configure the parallel executor
-        (``executor="parallel"``): worker count per pipeline, and "fork" /
-        "thread" / "serial" (defaults to fork where available).
+        (``executor="parallel"``): worker count per pipeline (1 = inline
+        on the leader), and "fork" / "thread" (fork where available).
         ``memory_limit`` caps per-query operator memory in bytes
         (queries over it spill; equivalent to ``SET query_memory_limit``).
         ``user_name`` and ``queue`` tag the session's stl_query rows so

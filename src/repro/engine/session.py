@@ -240,7 +240,7 @@ class Session:
             raise ValueError(f"unknown executor {executor!r}")
         if parallelism is not None and parallelism < 1:
             raise ValueError(f"parallelism must be positive, got {parallelism}")
-        if pool_mode is not None and pool_mode not in ("fork", "thread", "serial"):
+        if pool_mode is not None and pool_mode not in ("fork", "thread"):
             raise ValueError(f"unknown pool mode {pool_mode!r}")
         self._cluster = cluster
         #: Cluster-unique connection identity; stl_query rows carry it so
@@ -536,7 +536,7 @@ class Session:
             from repro.storage.spillfile import SpillManager
 
             ctx.memory_budget = MemoryBudget(limit)
-            ctx.spill = SpillManager(injector=cluster.fault_injector)
+            ctx.spill = SpillManager(cluster.fault_injector, ctx.recover)
         if executor == "parallel":
             ctx.parallel = ParallelConfig(
                 degree=self.effective_parallelism(),

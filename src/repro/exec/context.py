@@ -13,12 +13,13 @@ from repro.storage.slicestore import SliceStorage
 
 
 def recovered(handler, op, again=None, stats=None):
-    """Run *op*, one recoverable unit (block read or charge, fault
-    checkpoint, morsel). On a :data:`QUERY_RECOVERABLE_ERRORS` fault
-    *handler* repairs the cause and the unit reruns — as *again*, a
-    re-fetch of what the repair replaced, if given — up to
-    ``RetryPolicy().max_attempts`` in all, approved repairs counted on
-    ``stats.recoveries``. Unhandled, refused or last, it surfaces as is."""
+    """Run *op*, one recoverable unit (block read or charge, spill read
+    or write, fault checkpoint, morsel). On a
+    :data:`QUERY_RECOVERABLE_ERRORS` fault *handler* repairs the cause
+    and the unit reruns — as *again*, a re-fetch of what the repair
+    replaced, if given — up to ``RetryPolicy().max_attempts`` in all,
+    approved repairs counted on ``stats.recoveries``. Unhandled, refused
+    or last, it surfaces as is."""
     if handler is None:
         return op()
 
@@ -154,20 +155,18 @@ class SliceExec:
 class ParallelConfig:
     """How the parallel executor runs its per-slice workers.
 
-    ``mode`` is "fork" (process pool, workers inherit slice stores),
-    "thread" (fallback where fork is unavailable), or "serial"
-    (parallelism 1: morsels run inline on the leader — same machinery,
-    no pool). ``pool_manager`` is the cluster's
-    :class:`repro.exec.workers.PoolManager`; ``registry_id`` keys the
-    cluster's slice list in the worker-side registry.
+    ``mode`` is "fork" (process pool, workers inherit slice stores) or
+    "thread" (fallback where fork is unavailable); degree 1 runs morsels
+    inline on the leader, the same machinery with no pool.
+    ``pool_manager`` is the cluster's :class:`repro.exec.workers.PoolManager`;
+    ``registry_id`` keys the cluster's slice list in the worker-side
+    registry.
     """
 
     degree: int = 2
     mode: str = "fork"
     pool_manager: object = None
     registry_id: int = 0
-    #: Blocks per morsel: the scheduling quantum workers pull.
-    morsel_blocks: int = 4
 
 
 @dataclass

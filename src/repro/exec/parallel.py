@@ -14,7 +14,9 @@ states only. Every other pipeline — rows a client or a join consumes,
 sorts, exchanges, distinct, limits, system-table scans — runs on the
 serial batch engine inherited from :class:`VectorizedExecutor`: measured
 on two cores, shipping rows to workers never beat it and partitioning a
-join side in workers ran at half its speed (DESIGN.md §8).
+join side in workers ran at half its speed (DESIGN.md §8). So does every
+aggregate of a governed query: its memory grant is one budget, charged
+and spilled against on the leader.
 
 Determinism rules (the merge must be bit-identical to a serial run for
 integer results, and reproducible run-to-run always):
@@ -49,12 +51,7 @@ from repro.exec.context import SliceExec
 from repro.exec.scan import shard_block_count
 from repro.exec.vectorized import VectorizedExecutor
 from repro.exec.volcano import PerSlice, scan_column_names
-from repro.exec.workers import (
-    MorselResult,
-    MorselTask,
-    PipelineSpec,
-    run_morsel,
-)
+from repro.exec.workers import MorselResult, MorselTask, PipelineSpec, run_morsel
 from repro.errors import WorkerCrashError
 from repro.faults.plan import FaultKind
 from repro.plan.physical import (
@@ -68,15 +65,8 @@ from repro.plan.physical import (
 #: Node shapes a worker pipeline may contain.
 _PIPELINE_NODES = (PhysicalScan, PhysicalFilter, PhysicalProject)
 
-
-class _WorkerSpill:
-    """Adapts one morsel's spill counters to _note_spill's interface."""
-
-    def __init__(self, result: MorselResult):
-        self.spilled = result.spilled_bytes > 0
-        self.bytes_written = result.spilled_bytes
-        self.partitions_spilled = result.spill_partitions
-        self.bytes_read = result.spill_bytes_read
+#: Blocks per morsel: the scheduling quantum workers pull.
+MORSEL_BLOCKS = 4
 
 
 class ParallelExecutor(VectorizedExecutor):
@@ -105,7 +95,7 @@ class ParallelExecutor(VectorizedExecutor):
         if cfg is None:
             return 1, "serial"
         degree = max(1, cfg.degree)
-        if degree == 1 or cfg.mode == "serial":
+        if degree == 1:
             return degree, "serial"
         if cfg.pool_manager is None or not cfg.registry_id:
             return degree, "serial"
@@ -114,8 +104,15 @@ class ParallelExecutor(VectorizedExecutor):
     # ---- the one dispatch hook ---------------------------------------------
 
     def _run_aggregate(self, node: PhysicalAggregate) -> PerSlice:
+        """Fan an eligible aggregate out to morsels, unless the query is
+        governed: workers would each hold a grant of their own, where the
+        serial batch path charges the query's one budget."""
         child = node.child
-        if isinstance(child, _PIPELINE_NODES) and child.parallel_eligible:
+        if (
+            self._ctx.memory_budget is None
+            and isinstance(child, _PIPELINE_NODES)
+            and child.parallel_eligible
+        ):
             partials = self._run_pipeline(node)
             if partials is not None:
                 aggregates = [call.aggregate for call in node.aggregates]
@@ -167,16 +164,13 @@ class ParallelExecutor(VectorizedExecutor):
             self._begin_stat(fused)
         results = self._dispatch(tasks, workers, mode)
 
-        # Replay worker disk reads (and any spill IO) through the
-        # leader's disks in morsel order: identical accounting (and
-        # injected media-fault / DISK_FULL sequence) to a serial scan.
+        # Replay worker disk reads through the leader's disks in morsel
+        # order: identical accounting (and injected media-fault
+        # sequence) to a serial scan.
         for task, result in zip(tasks, results):
             disk = self._ctx.slices[task.slice_index].disk
             for nbytes in result.io_log:
                 self._ctx.recover(partial(disk.record_read, nbytes))
-            if result.spill_log:
-                self._ctx.spill.replay(disk, result.spill_log)
-                self._note_spill(aggregate, _WorkerSpill(result), disk.disk_id)
 
         self._pipeline_stats(
             scan, stage_nodes, aggregate, tasks, results, workers, mode
@@ -191,21 +185,13 @@ class ParallelExecutor(VectorizedExecutor):
         aggregate assembly keeps only slice 0's partials, mirroring
         ``_one_copy``.
         """
-        cfg = self._cfg
-        step = max(1, cfg.morsel_blocks if cfg is not None else 4)
-        # Morsels inherit the query's memory budget: their state maps
-        # are the only worker-side structures that grow unbounded.
-        memory_limit = 0
-        state = self._spill_state()
-        if state is not None and state[0].limit_bytes:
-            memory_limit = state[0].limit_bytes
         tasks: list[MorselTask] = []
-        registry_id = cfg.registry_id if cfg is not None else 0
+        registry_id = self._cfg.registry_id if self._cfg is not None else 0
         for index, store in enumerate(self._ctx.slices):
             if not store.has_shard(spec.table):
                 continue
             blocks = shard_block_count(store.shard(spec.table))
-            starts = list(range(0, blocks, step)) or [0]
+            starts = list(range(0, blocks, MORSEL_BLOCKS)) or [0]
             for j, start in enumerate(starts):
                 last = j == len(starts) - 1
                 tasks.append(
@@ -216,11 +202,10 @@ class ParallelExecutor(VectorizedExecutor):
                         block_start=start,
                         # Open-ended: a concurrent writer may seal the tail
                         # into new blocks before the morsel is scanned.
-                        block_end=None if last else start + step,
+                        block_end=None if last else start + MORSEL_BLOCKS,
                         include_tail=last,
                         pipeline=spec,
                         snapshot=self._ctx.snapshot,
-                        memory_limit=memory_limit,
                         encoded=self._ctx.encoded_scan,
                     )
                 )

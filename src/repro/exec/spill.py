@@ -418,54 +418,3 @@ class SpillableSorter:
         for spill_file in run_files:
             spill_file.release()
         return merged
-
-
-class LogSpillFile:
-    """Worker-side spill file: rows stay local, IO goes to an op log.
-
-    Parallel workers compute no side effects on shared engine state, so
-    their spill IO is recorded as ``(op, nbytes)`` tuples and replayed
-    through the owning slice's disk by the leader in morsel order (the
-    same discipline as scan ``io_log``) — which is where media faults,
-    capacity checks and ``used_bytes`` accounting actually happen.
-    """
-
-    def __init__(self, log: "SpillLog", label: str):
-        self._log = log
-        self.label = label
-        self.rows: list = []
-        self.bytes_written = 0
-
-    def write(self, rows: list, nbytes: int) -> None:
-        self._log.ops.append(("write", nbytes))
-        self.rows.extend(rows)
-        self.bytes_written += nbytes
-
-    def read(self) -> list:
-        self._log.ops.append(("read", self.bytes_written))
-        return self.rows
-
-    def release(self) -> None:
-        if self.bytes_written:
-            self._log.ops.append(("delete", self.bytes_written))
-            self.bytes_written = 0
-
-
-class SpillLog:
-    """One morsel's spill op log and the files that feed it."""
-
-    def __init__(self) -> None:
-        self.ops: list[tuple[str, int]] = []
-        self._files: list[LogSpillFile] = []
-
-    def file_factory(self):
-        def create(label: str) -> LogSpillFile:
-            spill_file = LogSpillFile(self, label)
-            self._files.append(spill_file)
-            return spill_file
-
-        return create
-
-    def release_all(self) -> None:
-        for spill_file in self._files:
-            spill_file.release()

@@ -49,7 +49,6 @@ from repro.exec.batch import (
     project_batch,
 )
 from repro.exec.scan import scan_batches
-from repro.exec.spill import MemoryBudget, SpillLog, SpillableAggregateStates
 from repro.storage import epoch
 from repro.storage.chain import ScanStats
 
@@ -124,10 +123,6 @@ class MorselTask:
     snapshot: Snapshot
     #: Leader-drawn fault decision: the worker raises WorkerCrashError.
     crash: bool = False
-    #: Query memory budget in bytes (0 = unbounded). Aggregate morsels
-    #: over this spill their state map against an op log the leader
-    #: replays through the slice's disk accounting.
-    memory_limit: int = 0
     #: The session's ``enable_encoded_scan``: the cursor hands the
     #: kernels whitelisted codecs undecoded, as in the vectorized engine.
     encoded: bool = False
@@ -148,13 +143,6 @@ class MorselResult:
     #: Rows emitted after each pipeline stage, in stage order.
     stage_rows: list = field(default_factory=list)
     elapsed_us: int = 0
-    #: Spill ("write"|"read"|"delete", nbytes) ops in execution order —
-    #: replayed through the leader's disk accounting like io_log — plus
-    #: the morsel's spill counters for svl_query_summary/stv_query_spill.
-    spill_log: list = field(default_factory=list)
-    spilled_bytes: int = 0
-    spill_partitions: int = 0
-    spill_bytes_read: int = 0
 
 
 def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
@@ -216,38 +204,16 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             if batch is not None:
                 yield batch
 
-    aggregates = [agg for agg, _ in pipeline.aggregates]
-    spill_log = None
-    if task.memory_limit:
-        # Governed morsel: same spillable map as the serial engines,
-        # but IO goes to an op log (no shared-state side effects).
-        spill_log = SpillLog()
-        states: dict = SpillableAggregateStates(
-            MemoryBudget(task.memory_limit),
-            spill_log.file_factory(),
-            f"{task.slice_id}-b{task.block_start}",
-            aggregates,
-        )
-    else:
-        states = {}
     accumulate_batches(
-        states,
+        result.partial,
         surviving(),
         [make_value_kernel(expr) for expr in pipeline.group_exprs],
         [
             make_value_kernel(arg) if arg is not None else None
             for _, arg in pipeline.aggregates
         ],
-        aggregates,
+        [agg for agg, _ in pipeline.aggregates],
     )
-    if spill_log is not None:
-        result.partial = states.finish()
-        result.spill_log = spill_log.ops
-        result.spilled_bytes = states.bytes_written
-        result.spill_partitions = states.partitions_spilled
-        result.spill_bytes_read = states.bytes_read
-    else:
-        result.partial = states
     result.elapsed_us = int((time.perf_counter() - started) * 1_000_000)
     return result
 

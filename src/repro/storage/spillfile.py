@@ -6,20 +6,20 @@ queries run on real in-memory data — while every write, read and delete
 is accounted against the owning slice's :class:`SimulatedDisk`. That
 makes spill IO first-class for every existing failure mode: a
 ``DISK_MEDIA_WINDOW`` fault hits spill reads and writes exactly like
-block IO (and is retried here with :func:`~repro.faults.retry.with_backoff`,
-re-reading the partition), a failed disk refuses spill IO, a full disk —
-real capacity or an injected ``DISK_FULL`` window — raises a typed
+block IO and is recovered the same way (see :class:`SpillManager`); a
+failed disk refuses spill IO; a full disk — real capacity or an injected
+``DISK_FULL`` window — raises a typed
 :class:`~repro.errors.SpillCapacityError` so WLM can shed the query
-cleanly, and ``used_bytes`` includes live temp space until the owning
+cleanly; and ``used_bytes`` includes live temp space until the owning
 :class:`SpillManager` reclaims it at end of query.
 """
 
 from __future__ import annotations
 
-from repro.errors import DiskMediaError, SpillCapacityError
-from repro.faults.retry import RetryPolicy, with_backoff
+from functools import partial
+
+from repro.errors import SpillCapacityError
 from repro.storage.disk import SimulatedDisk
-from repro.util.rng import DeterministicRng
 
 
 class SpillFile:
@@ -45,8 +45,9 @@ class SpillFile:
 
         Raises :class:`SpillCapacityError` when the disk has no room for
         the write (over capacity, or an injected ``DISK_FULL`` window) —
-        the typed signal WLM converts into a clean shed. Transient media
-        errors are retried with backoff; a failed disk raises through.
+        the typed signal WLM converts into a clean shed, never a repair.
+        A media error is recovered like a block charge's; a failed disk
+        raises through.
         """
         disk = self.disk
         injector = self._manager.injector
@@ -63,9 +64,7 @@ class SpillFile:
                 nbytes,
                 f"{disk.used_bytes} of {disk.capacity_bytes} bytes used",
             )
-        self._manager._accounted(
-            lambda: disk.record_write(nbytes), disk.disk_id, "spill_write"
-        )
+        self._manager.recover(partial(disk.record_write, nbytes))
         self.rows.extend(rows)
         self.bytes_written += nbytes
         self._manager.bytes_written += nbytes
@@ -73,16 +72,10 @@ class SpillFile:
     def read(self) -> list:
         """All rows in write order; accounts one read of the file's bytes.
 
-        An injected media error mid-read is retried with backoff — the
-        partition is simply read again, logged as a
-        ``recovery:spill_retry`` event — before being allowed to surface
-        to the statement as a typed ``DiskMediaError``.
+        An injected media error mid-read is recovered like a block
+        charge's: the partition is read again once the handler approves.
         """
-        self._manager._accounted(
-            lambda: self.disk.record_read(self.bytes_written),
-            self.disk.disk_id,
-            "spill_read",
-        )
+        self._manager.recover(partial(self.disk.record_read, self.bytes_written))
         self._manager.bytes_read += self.bytes_written
         return self.rows
 
@@ -100,12 +93,16 @@ class SpillManager:
     ``finally`` — so temp bytes are reclaimed on success, on an
     error, on a WLM shed and on transaction abort alike, and leaked
     spill space cannot accumulate across a fleet simulation.
+
+    *recover* runs each accounted read and write, the shape
+    ``scan_blocks`` takes. The session passes its context's ``recover``,
+    so a media error is repaired through the cluster's recovery handler
+    and counted in ``stl_query.recoveries``; the default surfaces it.
     """
 
-    def __init__(self, injector=None, policy: RetryPolicy | None = None):
+    def __init__(self, injector=None, recover=lambda op: op()):
         self.injector = injector
-        self._policy = policy or RetryPolicy(base_delay_s=0.05, max_delay_s=1.0)
-        self._rng = DeterministicRng("spill-retry")
+        self.recover = recover
         self._files: list[SpillFile] = []
         self.bytes_written = 0
         self.bytes_read = 0
@@ -129,53 +126,3 @@ class SpillManager:
         """Reclaim every spill file of the query (idempotent)."""
         for spill_file in self._files:
             spill_file.release()
-
-    def replay(self, disk: SimulatedDisk, ops) -> None:
-        """Re-perform a worker's logged spill IO against *disk*.
-
-        Parallel workers spill against an op log
-        (:class:`repro.exec.spill.SpillLog`) instead of touching shared
-        state; the leader replays the log here, in morsel order — so
-        capacity checks, ``DISK_FULL`` windows, media-fault draws and
-        ``used_bytes`` accounting land exactly as they would have for a
-        serial run. The ledger file joins :attr:`_files`, so bytes still
-        outstanding when a replay op raises (e.g. a mid-query
-        ``SpillCapacityError``) are reclaimed by :meth:`release_all`
-        like any other temp space.
-        """
-        ledger = self.create(disk, "worker-replay")
-        for op, nbytes in ops:
-            if op == "write":
-                ledger.write((), nbytes)
-            elif op == "read":
-                self._accounted(
-                    lambda n=nbytes: disk.record_read(n),
-                    disk.disk_id,
-                    "spill_read",
-                )
-                self.bytes_read += nbytes
-            else:  # delete
-                disk.record_delete(nbytes)
-                ledger.bytes_written = max(0, ledger.bytes_written - nbytes)
-
-    def _accounted(self, op, disk_id: str, name: str) -> None:
-        """Run one accounted IO, retrying injected media errors."""
-        injector = self.injector
-        if injector is None:
-            op()
-            return
-
-        def _log_retry(attempt: int, exc: Exception, delay: float) -> None:
-            injector.record(
-                "recovery:spill_retry",
-                disk_id,
-                f"{name} attempt {attempt} hit media error; retried",
-            )
-
-        with_backoff(
-            op,
-            policy=self._policy,
-            rng=self._rng,
-            retry_on=(DiskMediaError,),
-            on_retry=_log_retry,
-        )

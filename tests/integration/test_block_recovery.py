@@ -5,7 +5,7 @@ read again; the statement itself runs once. So a recovered statement
 must be indistinguishable from a fault-free one — rows, ``ScanStats``
 and every disk's read accounting — except for ``stats.recoveries``
 and the fault log. The leader's own reads (DELETE, ANALYZE) face the
-same faults and the same recovery.
+same faults and the same recovery, and so does spill IO.
 """
 
 import pytest
@@ -152,3 +152,72 @@ class TestLeaderReads:
         cluster.block_cache.clear()
         with pytest.raises(DiskMediaError):
             session.execute(sql)
+
+
+class TestSpillRecovery:
+    """Spill IO is one more recoverable unit: a media error on a spill
+    read or write is repaired through the recovery handler like one on a
+    block charge, and surfaces at once when no handler is installed."""
+
+    SQL = "SELECT k % 97, count(*), sum(v) FROM t GROUP BY k % 97 ORDER BY 2, 1"
+
+    def _governed(self, executor):
+        cluster, _ = _loaded()
+        session = cluster.connect(
+            executor=executor, parallelism=2, pool_mode="thread",
+            memory_limit=512,
+        )
+        session.execute("SET enable_result_cache = off")
+        session.execute(self.SQL)  # leaves every block decoded and resident
+        return cluster, session
+
+    def _run(self, cluster, session):
+        """Run the warm governed query: the only disk IO left is spill
+        IO. Returns the result and each disk's IO delta."""
+        disks = [store.disk.stats for store in cluster.slice_stores]
+        fields = ("bytes_written", "write_ops", "bytes_read", "read_ops")
+        before = [[getattr(d, f) for f in fields] for d in disks]
+        result = session.execute(self.SQL)
+        return result, [
+            [getattr(d, f) - b for f, b in zip(fields, was)]
+            for d, was in zip(disks, before)
+        ]
+
+    def _media_window(self, cluster, rate, coordinator=True):
+        spill_disk = cluster.slice_stores[0].disk.disk_id
+        injector = FaultInjector(
+            FaultPlan(seed=27).disk_media_errors(
+                0.0, float("inf"), rate=rate, disk_id=spill_disk
+            )
+        )
+        cluster.attach_faults(injector)
+        if coordinator:
+            RecoveryCoordinator(cluster, injector=injector)
+        return injector
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_spill_faults_recover_with_clean_accounting(self, executor):
+        cluster, session = self._governed(executor)
+        clean, clean_io = self._run(cluster, session)
+        assert clean.stats.spilled_bytes > 0
+        assert clean_io[0][0] > 0 and clean_io[0][2] > 0  # spill disk
+        injector = self._media_window(cluster, rate=0.3)
+        result, io = self._run(cluster, session)
+        kinds = [event.kind for event in injector.log]
+        recorded = session.execute("SELECT max(recoveries) FROM stl_query")
+        assert result.rows == clean.rows
+        assert result.stats.recoveries > 0
+        assert kinds.count("recovery:media_retry") == recorded.scalar()
+        assert recorded.scalar() == result.stats.recoveries
+        assert kinds.count("disk_media_window") == result.stats.recoveries
+        assert "recovery:spill_retry" not in kinds
+        assert io == clean_io
+        cluster.close()
+
+    def test_without_a_handler_the_first_fault_surfaces(self):
+        cluster, session = self._governed("vectorized")
+        injector = self._media_window(cluster, rate=1.0, coordinator=False)
+        with pytest.raises(DiskMediaError):
+            session.execute(self.SQL)
+        assert [event.kind for event in injector.log] == ["disk_media_window"]
+        cluster.close()

@@ -112,10 +112,10 @@ def _memoised(cluster: Cluster) -> set[str]:
 @settings(max_examples=30, deadline=None)
 def test_memoised_select_matches_a_cold_plan(ops):
     cluster = _cluster()
-    warm = cluster.connect(pool_mode="serial")
+    warm = cluster.connect(parallelism=1)
     # execute_script never consults the memo: every statement plans cold,
     # and with the result cache off its rows are recomputed too.
-    cold = cluster.connect(pool_mode="serial")
+    cold = cluster.connect(parallelism=1)
     cold.execute("SET enable_result_cache = off")
     plans = []
     real_plan = PhysicalPlanner.plan

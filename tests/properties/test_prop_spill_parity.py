@@ -12,8 +12,9 @@ subsystem's first invariant is that spilling is invisible to results.
 
 A fixed-seed companion test repeats representative queries with a
 ``DISK_MEDIA_WINDOW`` active, so spill reads/writes hit injected media
-errors and recover (backoff retry inside the spill layer, per-block
-recovery in the scan) — still bit-identical to the clean unbounded run.
+errors and recover where they were met (each spill read or write, like
+each block read in the scan, re-runs once the recovery handler approves)
+— still bit-identical to the clean unbounded run.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -149,8 +150,8 @@ def test_unbounded_sessions_never_spill():
 
 
 class TestSpillParityUnderMediaFaults:
-    """Spilled execution with a DISK_MEDIA_WINDOW active recovers (spill
-    retries + per-block scan recovery) and stays bit-identical to a clean
+    """Spilled execution with a DISK_MEDIA_WINDOW active recovers (per
+    spill IO and per block read) and stays bit-identical to a clean
     unbounded run. Fixed seeds: the injector's draws are deterministic,
     so these scenarios replay identically every run."""
 
@@ -165,9 +166,9 @@ class TestSpillParityUnderMediaFaults:
     def _faulty_cluster(self, seed):
         cluster = _build()
         # One disk's IO (block reads AND spill IO) fails ~2% of the
-        # time. Spill reads/writes retry internally with backoff; a scan
-        # read's charge is re-run by the recovery handler, once per
-        # fault, up to RetryPolicy().max_attempts (deterministic draws).
+        # time. A spill read or write, like a scan read's charge, is
+        # re-run by the recovery handler, once per fault, up to
+        # RetryPolicy().max_attempts (deterministic draws).
         cluster.attach_faults(
             FaultInjector(
                 FaultPlan(seed=seed).disk_media_errors(

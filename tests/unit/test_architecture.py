@@ -6,8 +6,10 @@ must not materialize chains or index the per-row xid lists themselves,
 and every executor scan on the leader reads through the decode cache.
 Generated code is compiled in one place, keyed by its source. Parallel
 workers ship partial aggregates only: no row-shipping or join-partitioning
-path comes back. A recoverable fault is repaired at the read that met it,
-through one helper; no statement-level retry comes back.
+path comes back, and neither does worker-side spill: a governed aggregate
+spills on the leader. A recoverable fault is repaired at the read that met
+it, through one helper; no statement-level retry comes back, and spill IO
+keeps no private retry loop.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -31,6 +33,9 @@ WORKERS_SHIP_ROWS = re.compile(
 )
 STATEMENT_RETRY = re.compile(
     r"segment_retries|MAX_SEGMENT_RETRIES|QueryRetryExhaustedError"
+)
+WORKER_SPILL = re.compile(
+    r"SpillLog|LogSpillFile|spill_log|_accounted|spill_retry|morsel_blocks"
 )
 
 
@@ -109,11 +114,17 @@ def test_no_statement_retry_comes_back():
     ] == []
 
 
+def test_spill_runs_on_the_leader_and_recovers_like_every_read():
+    """The worker spill log, its leader replay, spill's private retry
+    loop and the morsel-size knob stay deleted (DESIGN.md §5, §8)."""
+    assert offenders(("",), WORKER_SPILL) == []
+
+
 def test_recoverable_faults_are_caught_in_one_place():
     """``QUERY_RECOVERABLE_ERRORS`` is defined in ``errors.py`` and used
     only inside ``exec/context.py``'s ``recovered`` — the one helper every
-    recoverable unit (block read and charge, fault checkpoint, morsel)
-    runs through."""
+    recoverable unit (block read and charge, spill read and write, fault
+    checkpoint, morsel) runs through."""
     root = Path(repro.__file__).parent
     uses = [
         (path.relative_to(root).as_posix(), node.lineno)

@@ -21,8 +21,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sql import ast
 from repro.sql.functions import make_aggregate
-from repro.storage import ScanStats, SimulatedDisk, epoch
-from repro.storage.spillfile import SpillManager
+from repro.storage import ScanStats, epoch
 
 
 def _load(cluster, rows=300):
@@ -109,6 +108,16 @@ def encoded_cluster():
     s.execute("INSERT INTO m VALUES (1000, 1, 9), (1001, 2, 9), (1002, 6, 9)")
     yield c
     c.close()
+
+
+def _parallel(cluster, mode, **kwargs):
+    """A parallel session in *mode*: "serial" is parallelism 1, whose
+    morsels run inline on the leader; any other mode is a pool of 2."""
+    if mode == "serial":
+        return cluster.connect(executor="parallel", parallelism=1, **kwargs)
+    return cluster.connect(
+        executor="parallel", parallelism=2, pool_mode=mode, **kwargs
+    )
 
 
 def _b_below(limit):
@@ -214,33 +223,6 @@ class TestMorsels:
             shipped += len(result.partial)
         assert shipped
 
-    def test_governed_aggregate_morsel_spills_to_its_log(self, cluster):
-        """A tiny budget spills the morsel's state map into an op log;
-        replayed on the leader it costs the disk exactly what the
-        morsel's counters say, and the groups come out unchanged."""
-        spec = _spec(
-            group_exprs=(ast.BoundRef(0, INTEGER, "a"),),
-            aggregates=((make_aggregate("count"), None),),
-        )
-        free = _tasks_for(cluster, spec, morsel_blocks=100)[0]
-        tiny = _tasks_for(cluster, spec, morsel_blocks=100, memory_limit=512)[0]
-        want = run_morsel(free, cluster.slice_stores)
-        got = run_morsel(tiny, cluster.slice_stores)
-        assert not want.spill_log and want.spilled_bytes == 0
-        assert got.spilled_bytes > 0 and got.spill_partitions > 0
-        assert list(got.partial.items()) == list(want.partial.items())
-        assert got.io_log == want.io_log
-
-        disk = SimulatedDisk("d")
-        manager = SpillManager()
-        manager.replay(disk, got.spill_log)
-        assert disk.stats.bytes_written == got.spilled_bytes
-        assert manager.bytes_read == got.spill_bytes_read > 0
-        # Every temp byte written is deleted again by the end of the log.
-        assert sum(n for op, n in got.spill_log if op == "write") == sum(
-            n for op, n in got.spill_log if op == "delete"
-        )
-
 
 class TestEncodedMorsels:
     AGGREGATES = (
@@ -259,9 +241,7 @@ class TestEncodedMorsels:
         if mode == "fork" and workers.default_mode() != "fork":
             pytest.skip("platform has no fork")
         volcano = encoded_cluster.connect(executor="volcano")
-        s = encoded_cluster.connect(
-            executor="parallel", parallelism=2, pool_mode=mode
-        )
+        s = _parallel(encoded_cluster, mode)
         s.execute("SET enable_result_cache = off")
         for sql in (*self.AGGREGATES, self.ROWS):
             s.execute("SET enable_encoded_scan = on")
@@ -300,14 +280,31 @@ class TestOnlyAggregatesFanOut:
         assert "DS_DIST_OUTER" in plan  # t's rows are shuffled on b
         volcano = cluster.connect(executor="volcano")
         for mode in ("serial", "thread", workers.default_mode()):
-            s = cluster.connect(
-                executor="parallel", parallelism=2, pool_mode=mode
-            )
+            s = _parallel(cluster, mode)
             for sql in self.QUERIES:
                 result = s.execute(sql)
                 assert result.rows == volcano.execute(sql).rows, (mode, sql)
                 assert result.stats.slice_exec == [], (mode, sql)
                 assert s.execute("SELECT * FROM stv_slice_exec").rows == []
+
+    @pytest.mark.parametrize("mode", ["thread", "fork"])
+    def test_governed_aggregate_spills_on_the_leader(self, cluster, mode):
+        """A governed query's memory grant is one budget: its aggregate
+        runs on the serial batch path, which charges that budget and
+        spills on the leader, instead of fanning out to workers that
+        would each hold a grant of their own."""
+        if mode == "fork" and workers.default_mode() != "fork":
+            pytest.skip("platform has no fork")
+        sql = "SELECT a, count(*), sum(b) FROM t GROUP BY a"
+        s = _parallel(cluster, mode, memory_limit=512)
+        result = s.execute(sql)
+        assert result.rows == cluster.connect(executor="volcano").execute(
+            sql
+        ).rows
+        assert result.stats.slice_exec == []
+        assert s.execute("SELECT * FROM stv_slice_exec").rows == []
+        assert result.stats.spilled_bytes > 0
+        assert result.stats.peak_memory_bytes > 0
 
 
 class TestPools:
@@ -506,7 +503,5 @@ class TestSessionConfig:
         sql = "SELECT b, count(*), sum(a) FROM t GROUP BY b ORDER BY b"
         want = cluster.connect(executor="volcano").execute(sql).rows
         for mode in ("serial", "thread", workers.default_mode()):
-            s = cluster.connect(
-                executor="parallel", parallelism=2, pool_mode=mode
-            )
+            s = _parallel(cluster, mode)
             assert s.execute(sql).rows == want, mode

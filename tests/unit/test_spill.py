@@ -2,13 +2,14 @@
 (:mod:`repro.exec.spill`) and the accounted temp files backing them
 (:mod:`repro.storage.spillfile`)."""
 
+from functools import partial
+
 import pytest
 
-from repro.errors import SpillCapacityError
+from repro.errors import DiskMediaError, SpillCapacityError
+from repro.exec.context import recovered
 from repro.exec.spill import (
-    LogSpillFile,
     MemoryBudget,
-    SpillLog,
     SpillableAggregateStates,
     SpillableHashTable,
     SpillableSorter,
@@ -243,51 +244,42 @@ class TestSpillFileAccounting:
         assert disk.used_bytes == 0
         assert any(e.kind == "disk_full" for e in injector.log)
 
-    def test_media_errors_retried_with_backoff(self):
+    def _flaky(self, **manager):
         injector = FaultInjector(
             FaultPlan(seed=11).disk_media_errors(0.0, 1e9, rate=0.3)
         )
         disk = SimulatedDisk("flaky")
         disk.attach_injector(injector)
-        factory, manager, _ = _factory(disk=disk, injector=injector)
-        spill_file = factory("a")
+        manager = SpillManager(injector, **manager)
+        return manager.create(disk, "a"), manager, disk, injector
+
+    def test_media_errors_retried_with_backoff(self):
+        """Spill IO recovers through the one helper every recoverable unit
+        uses: each media fault is handed to the recovery handler and the
+        write or read runs again, which the disk counts only once."""
+        asked = []
+        handler = lambda exc: asked.append(exc) or True  # noqa: E731
+        spill_file, manager, disk, injector = self._flaky(
+            recover=partial(recovered, handler)
+        )
         for _ in range(10):  # enough draws to hit the 30% rate
             spill_file.write([(1,)], 10)
             spill_file.read()
-        retries = [e for e in injector.log if e.kind == "recovery:spill_retry"]
-        assert retries  # at least one media hit was absorbed by retry
+        kinds = [e.kind for e in injector.log]
+        assert asked and all(isinstance(e, DiskMediaError) for e in asked)
+        assert kinds.count("disk_media_window") == len(asked)
+        assert not any(kind.startswith("recovery:") for kind in kinds)
+        assert (disk.stats.write_ops, disk.stats.bytes_written) == (10, 100)
+        assert disk.stats.read_ops == 10
         manager.release_all()
         assert disk.used_bytes == 0
 
-    def test_replay_applies_worker_ops_with_accounting(self):
-        manager = SpillManager()
-        disk = SimulatedDisk("replay-disk")
-        manager.replay(
-            disk, [("write", 100), ("write", 40), ("read", 140), ("delete", 40)]
-        )
-        assert disk.used_bytes == 100
-        assert manager.bytes_written == 140
-        assert manager.bytes_read == 140
-        assert manager.live_bytes == 100  # outstanding, reclaimable
+    def test_media_error_without_a_handler_surfaces_at_once(self):
+        spill_file, manager, disk, injector = self._flaky()
+        with pytest.raises(DiskMediaError):
+            for _ in range(10):
+                spill_file.write([(1,)], 10)
+                spill_file.read()
+        assert [e.kind for e in injector.log] == ["disk_media_window"]
         manager.release_all()
         assert disk.used_bytes == 0
-
-
-class TestSpillLog:
-    def test_ops_logged_in_order_and_rows_stay_local(self):
-        log = SpillLog()
-        factory = log.file_factory()
-        f = factory("p0")
-        assert isinstance(f, LogSpillFile)
-        f.write([(1,), (2,)], 64)
-        f.write([(3,)], 32)
-        assert f.read() == [(1,), (2,), (3,)]
-        log.release_all()
-        assert log.ops == [
-            ("write", 64),
-            ("write", 32),
-            ("read", 96),
-            ("delete", 96),
-        ]
-        log.release_all()  # idempotent: bytes already zeroed
-        assert log.ops[-1] == ("delete", 96)
