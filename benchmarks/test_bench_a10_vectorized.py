@@ -10,18 +10,26 @@ Measures all three executors on the a2 aggregation workload, then the
 cold-vs-warm effect of the decode cache, with hit counters checked
 through ``stv_block_cache`` and EXPLAIN ANALYZE.
 
-The operate-on-compressed ablation compares cold-scan throughput with
-``enable_encoded_scan`` on vs off over dict/RLE-friendly data: on, the
+The operate-on-compressed ablation compares cold-scan throughput of the
+encoded path vs the decode-first path over dict/RLE-friendly data: the
 vectorized kernels evaluate predicates on dictionary codes and fold RLE
-runs without ever expanding the blocks (DESIGN.md §13); off pins the
-decode-first path. The decode-cache tests run with encoded scans off —
-their hit/miss arithmetic is about the decode path, which encoded scans
-deliberately bypass (an encoded read is neither a hit nor a miss).
+runs without ever expanding the blocks (DESIGN.md §13). The decode-first
+baseline is a test substitution, :func:`decode_first`, not a session
+knob. The decode-cache tests run decode-first too — their hit/miss
+arithmetic is about the decode path, which encoded scans deliberately
+bypass (an encoded read is neither a hit nor a miss).
 """
 
 import time
 
 from repro import Cluster
+
+
+def decode_first(monkeypatch) -> None:
+    """Make no block qualify for the encoded path, so batch scans decode
+    every block first."""
+    monkeypatch.setattr("repro.exec.scan.supports_block", lambda block: False)
+
 
 ROWS = 120_000
 QUERY = (
@@ -87,10 +95,12 @@ def test_a10_three_way_aggregation(benchmark, reporter, bench_record):
     assert vectorized_s < volcano_s / 2
 
 
-def test_a10_decode_cache_warm_vs_cold(benchmark, reporter, bench_record):
+def test_a10_decode_cache_warm_vs_cold(
+    benchmark, reporter, bench_record, monkeypatch
+):
+    decode_first(monkeypatch)
     cluster = build(60_000)
     session = cluster.connect("vectorized")
-    session.execute("SET enable_encoded_scan = off")
 
     # COPY's statistics pass leaves the loaded blocks resident.
     cluster.block_cache.clear()
@@ -181,26 +191,28 @@ def run_cold(session, cluster, query: str, repeats: int = 3):
     return best, result
 
 
-def test_a10_encoded_vs_decoded_cold_scan(benchmark, reporter, bench_record):
+def test_a10_encoded_vs_decoded_cold_scan(
+    benchmark, reporter, bench_record, monkeypatch
+):
     """Operate-on-compressed vs decode-first, both decode-cold each run.
 
-    The acceptance bar (CI-enforced): with ``enable_encoded_scan`` on,
-    cold scans over dict/RLE-friendly data must beat the decode-first
-    path by 1.5x, and the encoded counters must show the pushdown
-    actually happened (this is not allowed to silently regress to the
-    fallback and win on noise).
+    The acceptance bar (CI-enforced): on the encoded path, cold scans
+    over dict/RLE-friendly data must beat the decode-first path by 1.5x,
+    and the encoded counters must show the pushdown actually happened
+    (this is not allowed to silently regress to the fallback and win on
+    noise).
     """
     cluster = build_encoded()
     try:
         session = cluster.connect("vectorized")
-        session.execute("SET enable_encoded_scan = off")
-        decoded_dict_s, decoded_dict_r = run_cold(
-            session, cluster, ENC_QUERY_DICT
-        )
-        decoded_rle_s, decoded_rle_r = run_cold(
-            session, cluster, ENC_QUERY_RLE
-        )
-        session.execute("SET enable_encoded_scan = on")
+        with monkeypatch.context() as patch:
+            decode_first(patch)
+            decoded_dict_s, decoded_dict_r = run_cold(
+                session, cluster, ENC_QUERY_DICT
+            )
+            decoded_rle_s, decoded_rle_r = run_cold(
+                session, cluster, ENC_QUERY_RLE
+            )
         encoded_dict_s, encoded_dict_r = run_cold(
             session, cluster, ENC_QUERY_DICT
         )
@@ -253,12 +265,14 @@ def test_a10_encoded_vs_decoded_cold_scan(benchmark, reporter, bench_record):
         cluster.close()
 
 
-def test_a10_invalidation_keeps_cache_honest(reporter, bench_record):
+def test_a10_invalidation_keeps_cache_honest(
+    reporter, bench_record, monkeypatch
+):
     """VACUUM-style rewrites retire cached entries: the next scan decodes
     fresh blocks rather than serving stale vectors."""
+    decode_first(monkeypatch)
     cluster = build(20_000)
     session = cluster.connect("vectorized")
-    session.execute("SET enable_encoded_scan = off")
     session.execute(QUERY)
     session.execute(QUERY)  # warm
     invalidations_before = cluster.block_cache.invalidations

@@ -36,16 +36,6 @@ class SnapshotRecord:
     table_epochs: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass
-class _BlockMeta:
-    block_id: str
-    zone_map: object
-    count: int
-    encoded_bytes: int
-    checksum: int
-    s3_key: str
-
-
 class BackupManager:
     """Uploads new blocks and snapshot manifests; ages out system backups.
 

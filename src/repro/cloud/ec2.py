@@ -160,9 +160,3 @@ class SimEC2:
 
     def terminate(self, instance_id: str) -> None:
         self.instances.pop(instance_id, None)
-
-    def fail_instance(self, instance_id: str) -> None:
-        """Mark an instance unhealthy (host-manager detection fodder)."""
-        instance = self.instances.get(instance_id)
-        if instance is not None:
-            instance.healthy = False

@@ -71,7 +71,3 @@ class CloudEnvironment:
         if remote is None:
             raise KeyError(f"remote region {region!r} is not attached")
         return remote
-
-    @property
-    def remote_regions(self) -> list[str]:
-        return sorted(self._remote_regions)

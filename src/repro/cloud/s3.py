@@ -25,8 +25,6 @@ class S3Config:
 
     request_latency_s: float = 0.02
     throughput_bytes_per_s: float = 60 * MB
-    #: Per-object per-year loss probability (11 nines durability).
-    annual_loss_probability: float = 1e-11
     cross_region_latency_s: float = 0.08
 
 
@@ -104,9 +102,6 @@ class SimS3:
         self._check_available("create_bucket")
         self._buckets.setdefault(bucket, {})
 
-    def has_bucket(self, bucket: str) -> bool:
-        return bucket in self._buckets
-
     def _bucket(self, bucket: str) -> dict[str, S3Object]:
         objects = self._buckets.get(bucket)
         if objects is None:
@@ -156,9 +151,6 @@ class SimS3:
             key for key in self._bucket(bucket) if key.startswith(prefix)
         )
 
-    def bucket_bytes(self, bucket: str) -> int:
-        return sum(obj.size for obj in self._bucket(bucket).values())
-
     # ---- models -------------------------------------------------------------------
 
     def transfer_time(self, nbytes: int) -> float:
@@ -171,19 +163,6 @@ class SimS3:
             + nbytes / self.config.throughput_bytes_per_s
         )
         return base * self._injector.s3_slow_factor(self.region)
-
-    def simulate_annual_losses(self, bucket: str) -> int:
-        """Draw object losses for one simulated year of storage and delete
-        the losers (durability experiments)."""
-        objects = self._bucket(bucket)
-        lost = [
-            key
-            for key in objects
-            if self._rng.random() < self.config.annual_loss_probability
-        ]
-        for key in lost:
-            del objects[key]
-        return len(lost)
 
     def replicate_to(self, other: "SimS3", bucket: str, prefix: str = "") -> int:
         """Cross-region replication (DR): copy objects to *other*'s bucket.

@@ -92,22 +92,3 @@ class SimClock:
             self._now = max(self._now, event.time)
             event.callback()
         self._now = deadline
-
-    def run_until_idle(self, max_time: float | None = None) -> None:
-        """Fire every pending event (bounded by *max_time* if given)."""
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if max_time is not None and head.time > max_time:
-                break
-            heapq.heappop(self._queue)
-            self._now = max(self._now, head.time)
-            head.callback()
-        if max_time is not None and max_time > self._now:
-            self._now = max_time
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)

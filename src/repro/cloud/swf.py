@@ -194,6 +194,3 @@ class SimWorkflowService:
         )
         execution.attempt_history.append(result)
         return result
-
-    def executions_of(self, workflow_name: str) -> list[WorkflowExecution]:
-        return [e for e in self.history if e.workflow_name == workflow_name]

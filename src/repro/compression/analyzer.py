@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.compression.codecs import Codec, applicable_codecs, codec_by_name
+from repro.compression.codecs import applicable_codecs
 from repro.datatypes.types import SqlType
 from repro.util.rng import DeterministicRng
 
@@ -168,8 +168,3 @@ class CompressionAnalyzer:
                 name, sql_type, values, self._sample_size, self._rng.child(name)
             )
         return result
-
-    @staticmethod
-    def codec_for(analysis: ColumnAnalysis) -> Codec:
-        """Materialize the codec object an analysis selected."""
-        return codec_by_name(analysis.chosen_codec)

@@ -21,7 +21,6 @@ class HostEventKind(enum.Enum):
     PROCESS_RESTARTED = "process_restarted"
     NODE_UNHEALTHY = "node_unhealthy"
     REPLACEMENT_REQUESTED = "replacement_requested"
-    LOG_ROTATED = "log_rotated"
     SCRUB_COMPLETED = "scrub_completed"
     BLOCK_REPAIRED = "block_repaired"
 
@@ -125,14 +124,3 @@ class HostManager:
         )
         self.events.append(summary)
         return summary
-
-    def rotate_logs(self) -> HostEvent:
-        event = HostEvent(self.node_id, HostEventKind.LOG_ROTATED, self.clock.now)
-        self.events.append(event)
-        return event
-
-    @property
-    def crash_count(self) -> int:
-        return sum(
-            1 for e in self.events if e.kind is HostEventKind.PROCESS_CRASH
-        )

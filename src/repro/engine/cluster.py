@@ -89,7 +89,6 @@ class Cluster:
         node_type: str = "dw2.large",
         disk_capacity_bytes: int | None = None,
         systable_max_rows: int | None = None,
-        memory_bytes: int | None = None,
     ):
         if node_count < 1:
             raise ValueError(f"node_count must be positive, got {node_count}")
@@ -135,18 +134,6 @@ class Cluster:
         #: Compiled-pipeline code, keyed by generated source and shared by
         #: every session's compiled executor (see svl_compile_cache).
         self.segment_cache = CodeCache("<query-pipeline>")
-        #: Optional inline admission hook (an
-        #: :class:`~repro.engine.wlm.AdmissionGate`): consulted before a
-        #: SELECT executes, bypassed on result-cache hits.
-        self.wlm_gate = None
-        #: Query-memory pool in bytes (None: unbounded). With a
-        #: :attr:`workload_manager` and a :attr:`wlm_gate` attached,
-        #: sessions derive their per-query budget as
-        #: ``memory_bytes * memory_per_slot_fraction(gate.queue)``.
-        self.memory_bytes = memory_bytes
-        #: Optional :class:`~repro.engine.wlm.WorkloadManager` whose queue
-        #: configuration prices the per-slot memory share above.
-        self.workload_manager = None
         from repro.exec.workers import PoolManager, register_slices
 
         #: Morsel worker pools for the parallel executor: one cached pool

@@ -248,9 +248,10 @@ class Session:
         self.session_id = next(cluster._session_ids)
         self.user_name = user_name
         self.queue_name = queue
-        #: Per-session admission gate override. The concurrent server
-        #: (:class:`repro.server.ClusterServer`) installs its live
-        #: per-queue SlotGate here; None falls back to the cluster gate.
+        #: Admission gate (an :class:`~repro.engine.wlm.AdmissionGate`):
+        #: consulted before a SELECT executes, bypassed on result-cache
+        #: hits. The concurrent server (:class:`repro.server.ClusterServer`)
+        #: installs its live per-queue SlotGate here; None admits at once.
         self.wlm_gate = None
         #: Concurrency-scaling router (:class:`repro.server.burst.BurstRouter`),
         #: installed by the server like the gate. The SELECT stage asks it,
@@ -275,15 +276,9 @@ class Session:
             raise ValueError(
                 f"memory_limit must be positive bytes, got {memory_limit}"
             )
-        #: ``SET query_memory_limit``: explicit per-query operator-memory
-        #: cap in bytes. None derives one from the cluster's memory pool
-        #: and the admitting WLM queue's per-slot share (or runs
-        #: unbounded when neither is configured).
+        #: ``SET query_memory_limit``: per-query operator-memory cap in
+        #: bytes; None runs unbounded.
         self._memory_limit = memory_limit
-        #: ``SET enable_encoded_scan``: off forces vectorized and parallel
-        #: scans to decode every block up front instead of handing encoded
-        #: columns to the kernels.
-        self._enable_encoded_scan = True
         #: SELECT nesting depth — only the outermost SELECT of a
         #: statement consults the WLM admission gate (subqueries ride
         #: their parent's admission).
@@ -462,8 +457,6 @@ class Session:
         elif name == "query_memory_limit":
             off = str(statement.value).lower() in ("off", "unlimited", "none", "0")
             self._memory_limit = None if off else _positive_int(name, statement.value)
-        elif name == "enable_encoded_scan":
-            self._enable_encoded_scan = _on_off(name, statement.value)
         elif name == "enable_cbo":
             self._planner = PhysicalPlanner(
                 self._cluster.catalog,
@@ -485,33 +478,6 @@ class Session:
             return self._parallelism
         return max(1, min(self._cluster.slice_count, os.cpu_count() or 1))
 
-    def effective_memory_limit(self) -> int | None:
-        """The per-query operator-memory cap in bytes, or None (unbounded).
-
-        An explicit session limit (``SET query_memory_limit`` /
-        ``connect(memory_limit=...)``) wins; otherwise the cluster's
-        memory pool priced by the admitting WLM queue's per-slot share.
-        """
-        if self._memory_limit is not None:
-            return self._memory_limit
-        pool = self._cluster.memory_bytes
-        manager = self._cluster.workload_manager
-        gate = self._admission_gate()
-        if not pool or manager is None or gate is None:
-            return None
-        try:
-            fraction = manager.memory_per_slot_fraction(gate.queue)
-        except KeyError:
-            return None
-        return max(1, int(pool * fraction))
-
-    def _admission_gate(self):
-        """The WLM gate this session faces: the server-installed live
-        per-queue gate when one is set, else the cluster-wide gate."""
-        if self.wlm_gate is not None:
-            return self.wlm_gate
-        return self._cluster.wlm_gate
-
     def _context(
         self, cluster: Cluster, xid: int, executor: str
     ) -> ExecutionContext:
@@ -528,14 +494,12 @@ class Session:
             fault_injector=cluster.fault_injector,
             recovery_handler=cluster.recovery_handler,
             block_cache=cluster.block_cache,
-            encoded_scan=self._enable_encoded_scan,
             segment_cache=cluster.segment_cache,
         )
-        limit = self.effective_memory_limit()
-        if limit is not None:
+        if self._memory_limit is not None:
             from repro.storage.spillfile import SpillManager
 
-            ctx.memory_budget = MemoryBudget(limit)
+            ctx.memory_budget = MemoryBudget(self._memory_limit)
             ctx.spill = SpillManager(cluster.fault_injector, ctx.recover)
         if executor == "parallel":
             ctx.parallel = ParallelConfig(
@@ -607,7 +571,7 @@ class Session:
                     if result is not None:
                         return result
             return self._select_on(
-                self._cluster, planned, xid, self._admission_gate()
+                self._cluster, planned, xid, self.wlm_gate
             )
         finally:
             self._select_depth -= 1

@@ -19,16 +19,14 @@ never seen before pays ``compile()``, and two plans share code exactly
 when they generate the same code. Run-specific values — hoisted
 constants, join hash tables, accumulators — enter through ``_env``.
 
-Blocking operators (hash-table builds, exchanges, sorts, limits) run in
-the driver, like the Volcano executor, so the two executors move identical
-bytes over the interconnect and read identical blocks.
+Blocking operators (hash-table builds, exchanges, sorts, limits, the
+leader merge of partial aggregates) are inherited from the Volcano executor,
+so every executor moves identical bytes over the interconnect and reads
+identical blocks; this one overrides only per-slice evaluation.
 
-Operate-on-compressed scans (DESIGN.md §13) are a vectorized-engine
-concept: this executor's generated loops are row-at-a-time, so its scans
-take the decoded path — the universal fallback of the encoded-kernel
-contract — and ``SET enable_encoded_scan`` does not change what compiled
-queries read or return. That asymmetry is exactly what the four-way
-parity suites pin down.
+Operate-on-compressed scans (DESIGN.md §13) are a batch-engine concept:
+this executor's generated loops are row-at-a-time, so its scans take the
+decoded path — the universal fallback of the encoded-kernel contract.
 """
 
 from __future__ import annotations
@@ -37,9 +35,7 @@ import time
 from typing import Callable
 
 from repro.errors import ExecutionError
-from repro.exec import exchange
-from repro.exec.context import ExecutionContext
-from repro.exec.volcano import VolcanoExecutor, sort_rows
+from repro.exec.volcano import VolcanoExecutor, join_sides, probe_moves
 from repro.plan.physical import (
     PhysicalAggregate,
     PhysicalFilter,
@@ -47,7 +43,6 @@ from repro.plan.physical import (
     PhysicalNode,
     PhysicalProject,
     PhysicalScan,
-    JoinDistribution,
 )
 from repro.sql import ast
 from repro.sql.expressions import (
@@ -459,13 +454,8 @@ class _PipelineCompiler:
         k = len(self._joins)
         self._joins.append(node)
         build_right = node.build_right
-        probe_child = node.left if build_right else node.right
-        probe_keys = (
-            [l for l, _ in node.keys] if build_right else [r for _, r in node.keys]
-        )
-        null_width = len(
-            node.right.output if build_right else node.left.output
-        )
+        build_child, _, probe_child, probe_keys = join_sides(node)
+        null_width = len(build_child.output)
         preserve = (
             (node.kind is ast.JoinKind.LEFT and build_right)
             or (node.kind is ast.JoinKind.RIGHT and not build_right)
@@ -564,15 +554,9 @@ class CompiledExecutor(VolcanoExecutor):
         if isinstance(node, (PhysicalFilter, PhysicalProject)):
             return self._pipeline_ok(node.child)
         if isinstance(node, PhysicalHashJoin):
-            if node.kind is ast.JoinKind.FULL:
+            if node.kind is ast.JoinKind.FULL or probe_moves(node):
                 return False
-            if node.strategy in (
-                JoinDistribution.DS_DIST_BOTH,
-                JoinDistribution.DS_DIST_OUTER,
-            ):
-                return False
-            probe = node.left if node.build_right else node.right
-            return self._pipeline_ok(probe)
+            return self._pipeline_ok(join_sides(node)[2])
         return False
 
     # ---- compiled pipelines ------------------------------------------------
@@ -604,42 +588,20 @@ class CompiledExecutor(VolcanoExecutor):
         if isinstance(node, (PhysicalFilter, PhysicalProject)):
             return self._pipeline_source(node.child)
         if isinstance(node, PhysicalHashJoin):
-            probe = node.left if node.build_right else node.right
-            return self._pipeline_source(probe)
+            return self._pipeline_source(join_sides(node)[2])
         raise ExecutionError(f"no pipeline source under {type(node).__name__}")
 
     def _build_join_tables(self, joins: list[PhysicalHashJoin]) -> list[list[dict]]:
         """Materialize, move and hash every fused join's build side.
-
-        Build sides execute through the normal driver (possibly compiled
-        themselves if they contain fusable pipelines), then move per the
-        join strategy: broadcast for DS_BCAST_INNER, hash-redistribution
-        for DS_DIST_INNER, nothing for DS_DIST_NONE.
-        """
+        Build sides run like any subtree (compiled themselves when they
+        hold fusable pipelines) and move through :meth:`_move_join_input`."""
         per_join_tables: list[list[dict]] = []
         for join in joins:
-            build_node = join.right if join.build_right else join.left
-            build_data = self._materialize(build_node, self._run(build_node))
-            width = exchange.row_width(build_node.output)
-            keys = (
-                [r for _, r in join.keys]
-                if join.build_right
-                else [l for l, _ in join.keys]
-            )
-            if join.strategy is JoinDistribution.DS_BCAST_INNER:
-                build_data = exchange.broadcast(
-                    self._one_copy(build_node, build_data), self._ctx, width
-                )
-            elif join.strategy is JoinDistribution.DS_DIST_INNER:
-                key0 = keys[0]
-                build_data = exchange.shuffle(
-                    self._one_copy(build_node, build_data),
-                    lambda row: row[key0],
-                    self._ctx,
-                    width,
-                )
+            build_node, keys, _, _ = join_sides(join)
+            build = self._materialize(build_node, self._run(build_node))
+            build = self._move_join_input(join, build, build=True)
             tables: list[dict] = []
-            for s, rows in enumerate(build_data):
+            for s, rows in enumerate(build):
                 table, spill_table = self._build_hash_table(join, rows, keys, s)
                 if spill_table is not None:
                     spill_table.done()
@@ -650,34 +612,18 @@ class CompiledExecutor(VolcanoExecutor):
     def _probe_source_rows(
         self, joins: list[PhysicalHashJoin], scan: PhysicalScan
     ) -> list:
-        """Scan-side input per slice.
-
-        An ALL-distributed scan feeding a join must collapse to one copy
-        when the join expects each probe row exactly once: under
-        DS_BCAST_INNER (planner's outer-join fix), or DS_DIST_NONE against
-        a build side that is itself replicated. ``joins[-1]`` is the join
-        adjacent to the scan (codegen appends outer joins first).
-        """
-        # Raw per-slice iterables come from the shared _scan_slices
-        # (zone-map pruning, scan accounting, system-table branch); the
-        # per-row filters are fused into the generated code instead.
+        """Scan-side input per slice, raw from the shared ``_scan_slices``
+        (the per-row filters are fused into the generated code). It is
+        the probe side of ``joins[-1]``, the join adjacent to the scan
+        (codegen appends outer joins first), and moves as that join's
+        probe does; every replica of a replicated scan is drained first,
+        as in every engine."""
         per_slice = self._scan_slices(scan)
-        if scan.partitioning.kind == "all" and joins:
-            innermost = joins[-1]
-            build_node = (
-                innermost.right if innermost.build_right else innermost.left
-            )
-            collapse = (
-                innermost.strategy is JoinDistribution.DS_BCAST_INNER
-                or (
-                    innermost.strategy is JoinDistribution.DS_DIST_NONE
-                    and build_node.partitioning.kind == "all"
-                )
-            )
-            if collapse:
-                materialized = [list(rows) for rows in per_slice]
-                return self._one_copy(scan, materialized)
-        return per_slice
+        if not joins:
+            return per_slice
+        if scan.partitioning.kind == "all":
+            per_slice = [list(rows) for rows in per_slice]
+        return self._move_join_input(joins[-1], per_slice, build=False)
 
     def _run_compiled_pipeline(self, node: PhysicalNode) -> list:
         fn, joins, env = self._prepare_pipeline(node)
@@ -723,36 +669,4 @@ class CompiledExecutor(VolcanoExecutor):
             fn(source_rows[s], slice_env)
             partials.append(self._finish_agg_states(node, s, states))
 
-        width = exchange.row_width(node.output) if node.output else 8
-        if node.local_only:
-            return [
-                [
-                    key
-                    + tuple(
-                        agg.finalize(state)
-                        for agg, state in zip(aggregates, entry)
-                    )
-                    for key, entry in states.items()
-                ]
-                for states in partials
-            ]
-        merged = self._agg_states(node, 0, aggregates, tag="-merge")
-        transferred = 0
-        for states in partials:
-            transferred += len(states)
-            for key, entry in states.items():
-                target = merged.get(key)
-                if target is None:
-                    merged[key] = entry
-                else:
-                    for i, agg in enumerate(aggregates):
-                        target[i] = agg.merge(target[i], entry[i])
-        self._ctx.interconnect.record_gather(transferred * width)
-        merged = self._finish_agg_states(node, 0, merged)
-        if not node.group_exprs and not merged:
-            merged[()] = [agg.create() for agg in aggregates]
-        leader_rows = [
-            key + tuple(agg.finalize(st) for agg, st in zip(aggregates, entry))
-            for key, entry in merged.items()
-        ]
-        return [leader_rows] + [[] for _ in range(self._ctx.slice_count - 1)]
+        return self._merge_partials(node, partials, aggregates)

@@ -188,9 +188,6 @@ class ExecutionContext:
     #: Cluster-wide decoded-block cache consumed by the vectorized
     #: executor's batch scans; None disables caching.
     block_cache: object = None
-    #: Operate-on-compressed scans (SET enable_encoded_scan): vectorized
-    #: scans and parallel morsels get whitelisted codecs undecoded.
-    encoded_scan: bool = True
     #: The cluster's :class:`~repro.exec.segmentcache.CodeCache`: the
     #: compiled executor compiles every pipeline through it.
     segment_cache: object = None

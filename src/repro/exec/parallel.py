@@ -8,9 +8,9 @@ data-plane claim. Work is scheduled as *morsels* (contiguous block
 ranges of one shard) so a skewed slice is drained by many workers
 instead of strangling one.
 
-A morsel runs the serial vectorized engine's batch pipeline (``SET
-enable_encoded_scan`` governs both) and ships back per-group partial
-states only. Every other pipeline — rows a client or a join consumes,
+A morsel runs the serial vectorized engine's batch pipeline, encoded
+scan included, and ships back per-group partial states only. Every
+other pipeline — rows a client or a join consumes,
 sorts, exchanges, distinct, limits, system-table scans — runs on the
 serial batch engine inherited from :class:`VectorizedExecutor`: measured
 on two cores, shipping rows to workers never beat it and partitioning a
@@ -28,10 +28,11 @@ integer results, and reproducible run-to-run always):
   back in a log and are replayed through the leader's disks in morsel
   order (identical accounting and media-fault sequence to serial);
   injected worker-crash decisions are drawn on the leader at dispatch.
-* Partial aggregates merge per slice in morsel order first, then
-  through the same ``_merge_partials`` as every other executor, so
-  interconnect accounting is identical. (Floating-point aggregates may
-  differ from serial below ~1e-9 because partial sums re-associate.)
+* Partial aggregates merge per slice in morsel order first (the same
+  ``merge_states`` as the leader's), then through the same
+  ``_merge_partials`` as every other executor, so interconnect
+  accounting is identical. (Floating-point aggregates may differ from
+  serial below ~1e-9 because partial sums re-associate.)
 
 Failure handling: a morsel whose worker dies (injected WORKER_CRASH
 fault or a broken process pool) is re-executed serially on the leader
@@ -50,7 +51,7 @@ from functools import partial
 from repro.exec.context import SliceExec
 from repro.exec.scan import shard_block_count
 from repro.exec.vectorized import VectorizedExecutor
-from repro.exec.volcano import PerSlice, scan_column_names
+from repro.exec.volcano import PerSlice, merge_states, scan_column_names
 from repro.exec.workers import MorselResult, MorselTask, PipelineSpec, run_morsel
 from repro.errors import WorkerCrashError
 from repro.faults.plan import FaultKind
@@ -206,7 +207,6 @@ class ParallelExecutor(VectorizedExecutor):
                         include_tail=last,
                         pipeline=spec,
                         snapshot=self._ctx.snapshot,
-                        encoded=self._ctx.encoded_scan,
                     )
                 )
         return tasks
@@ -292,14 +292,7 @@ class ParallelExecutor(VectorizedExecutor):
         aggregates = [call.aggregate for call in aggregate.aggregates]
         partials: list[dict] = [{} for _ in self._ctx.slices]
         for task, result in zip(tasks, results):
-            target = partials[task.slice_index]
-            for key, entry in result.partial.items():
-                existing = target.get(key)
-                if existing is None:
-                    target[key] = entry
-                else:
-                    for i, agg in enumerate(aggregates):
-                        existing[i] = agg.merge(existing[i], entry[i])
+            merge_states(partials[task.slice_index], result.partial, aggregates)
         if aggregate.child.partitioning.kind == "all":
             # Every slice holds a full replica; keep one copy of the
             # partials (the serial path's _one_copy before accumulation).

@@ -84,7 +84,7 @@ def scan_blocks(
     *block_cache* (a :class:`repro.storage.blockcache.BlockDecodeCache`)
     serves decoded vectors across queries; hits skip the charge and the
     byte accounting (the IO they avoid) while block/value counts stay
-    identical. With *encoded* (``SET enable_encoded_scan``), blocks whose
+    identical. With *encoded* (every batch scan), blocks whose
     codec the kernels can execute on directly are yielded as
     verified-but-undecoded :class:`EncodedColumn`s — unless the cache
     already holds the decoded vector, which is cheaper still. Encoded

@@ -5,15 +5,16 @@ list per live column, one block's worth of rows per batch — instead of
 row tuples. Scans decode each block once (served from the cluster's
 :class:`~repro.storage.blockcache.BlockDecodeCache` across queries),
 filters and projections run prebuilt vector kernels over whole columns,
-hash joins probe per batch against a prebuilt key column, and aggregates
-fold whole argument vectors into partial states.
+hash joins read a batch probe side's keys from its key columns, and
+aggregates fold whole argument vectors into partial states.
 
-The executor subclasses :class:`VolcanoExecutor` so distribution logic,
+The executor subclasses :class:`VolcanoExecutor` so distribution logic
+(join-input movement, the probe loop, the partial-aggregate merge),
 instrumentation and non-batch operators (sorts, limits, set ops, nested
-loops, FULL joins) are shared: per-slice payloads are either a
+loops) are shared: per-slice payloads are either a
 :class:`BatchList` of column batches or a plain row list, and the
-materialization choke points (:meth:`_materialize`, :meth:`_leader_rows`,
-:meth:`_collect_at_leader`) transparently convert batches to rows where
+materialization choke points (:meth:`_materialize`, :meth:`_leader_rows`)
+transparently convert batches to rows where
 an inherited operator needs them. Step/row/block accounting is kept
 identical to the other executors (scan rows are counted pre-filter,
 blocks once per logical block) so ``svl_query_summary`` and EXPLAIN
@@ -22,7 +23,6 @@ ANALYZE agree across all three engines.
 
 from __future__ import annotations
 
-from repro.exec import exchange
 from repro.exec.batch import (
     _compile,
     accumulate_batches,
@@ -34,15 +34,12 @@ from repro.exec.batch import (
 from repro.exec.scan import scan_batches
 from repro.exec.volcano import PerSlice, VolcanoExecutor, scan_column_names
 from repro.plan.physical import (
-    JoinDistribution,
     PhysicalAggregate,
     PhysicalFilter,
-    PhysicalHashJoin,
     PhysicalNode,
     PhysicalProject,
     PhysicalScan,
 )
-from repro.sql import ast
 
 
 class BatchList(list):
@@ -82,13 +79,6 @@ class VectorizedExecutor(VolcanoExecutor):
     def _leader_rows(self, node: PhysicalNode, per_slice: PerSlice) -> list:
         return super()._leader_rows(node, self._materialize(node, per_slice))
 
-    def _collect_at_leader(
-        self, plan: PhysicalNode, per_slice: PerSlice
-    ) -> list[tuple]:
-        return super()._collect_at_leader(
-            plan, self._materialize(plan, per_slice)
-        )
-
     def _count_slices(self, per_slice: PerSlice, stat) -> PerSlice:
         start = self._start_times[stat.step]
         out: PerSlice = []
@@ -127,7 +117,7 @@ class VectorizedExecutor(VolcanoExecutor):
                     stats=local,
                     charge=store.disk.record_read,
                     block_cache=self._ctx.block_cache,
-                    encoded=self._ctx.encoded_scan,
+                    encoded=True,
                     recover=self._ctx.recover,
                 ):
                     if stat is not None:
@@ -226,183 +216,19 @@ class VectorizedExecutor(VolcanoExecutor):
 
     # ---- hash join ----------------------------------------------------------
 
-    def _run_hash_join(self, node: PhysicalHashJoin) -> PerSlice:
-        strategy = node.strategy
-        # The batch probe keeps the probe side in place; fall back to the
-        # row path whenever the strategy moves it (or for FULL joins,
-        # which must track unmatched build rows).
-        probe_moves = strategy in (
-            JoinDistribution.DS_DIST_BOTH,
-            JoinDistribution.DS_DIST_OUTER,
+    def _join_input(self, side: PhysicalNode, streams: bool) -> PerSlice:
+        if streams:
+            return self._run_materialized_or_batches(side)
+        return super()._join_input(side, streams)
+
+    def _keyed(self, rows, keys: list[int]):
+        """Batch probes read their keys from the batch's key columns."""
+        if not isinstance(rows, BatchList):
+            return super()._keyed(rows, keys)
+        return (
+            pair
+            for batch in rows
+            for pair in zip(
+                zip(*(batch.column(i) for i in keys)), batch.rows()
+            )
         )
-        if (
-            not node.batch_capable
-            or node.kind is ast.JoinKind.FULL
-            or probe_moves
-        ):
-            return super()._run_hash_join(node)
-
-        build_node = node.right if node.build_right else node.left
-        probe_node = node.left if node.build_right else node.right
-        build = self._materialize(build_node, self._run(build_node))
-        probe = self._run_materialized_or_batches(probe_node)
-        build_width = exchange.row_width(build_node.output)
-        left_keys = [l for l, _ in node.keys]
-        right_keys = [r for _, r in node.keys]
-        build_keys = right_keys if node.build_right else left_keys
-        probe_keys = left_keys if node.build_right else right_keys
-
-        if strategy is JoinDistribution.DS_DIST_NONE:
-            if (
-                node.left.partitioning.kind == "all"
-                and node.right.partitioning.kind == "all"
-            ):
-                # Keep one copy of the left side; only slice 0 produces.
-                if node.build_right:
-                    probe = self._one_copy(node.left, probe)
-                else:
-                    build = super()._one_copy(node.left, build)
-        elif strategy is JoinDistribution.DS_BCAST_INNER:
-            build = exchange.broadcast(
-                super()._one_copy(build_node, build), self._ctx, build_width
-            )
-            probe = self._one_copy(probe_node, probe)
-        else:  # DS_DIST_INNER: redistribute the build side by its key.
-            build = self._shuffle_side(
-                build_node, build, build_keys[0], build_width
-            )
-
-        residual = (
-            _compile(node.residual) if node.residual is not None else None
-        )
-        build_null = (None,) * len(build_node.output)
-        preserve_probe = (
-            node.kind is ast.JoinKind.LEFT and node.build_right
-        ) or (node.kind is ast.JoinKind.RIGHT and not node.build_right)
-
-        out: PerSlice = []
-        for s in range(self._ctx.slice_count):
-            table, spill_table = self._build_hash_table(
-                node, build[s], build_keys, s
-            )
-            probe_slice = (
-                self._probe_batches
-                if isinstance(probe[s], BatchList)
-                else self._probe_rows
-            )
-            out.append(
-                probe_slice(
-                    node,
-                    probe[s],
-                    table,
-                    probe_keys,
-                    residual,
-                    build_null,
-                    preserve_probe,
-                )
-            )
-            if spill_table is not None:
-                spill_table.done()
-        return out
-
-    def _probe_batches(
-        self,
-        node: PhysicalHashJoin,
-        batches: "BatchList",
-        table: dict,
-        probe_keys: list[int],
-        residual,
-        build_null: tuple,
-        preserve_probe: bool,
-    ) -> list:
-        build_right = node.build_right
-        results: list = []
-        single_key = len(probe_keys) == 1
-        for batch in batches:
-            probe_rows = batch.rows()
-            if single_key:
-                key_column = batch.column(probe_keys[0])
-                for j in range(batch.count):
-                    value = key_column[j]
-                    matches = (
-                        table.get((value,)) if value is not None else None
-                    )
-                    self._emit_matches(
-                        results,
-                        probe_rows[j],
-                        matches,
-                        residual,
-                        build_null,
-                        preserve_probe,
-                        build_right,
-                    )
-            else:
-                key_columns = [batch.column(i) for i in probe_keys]
-                for j in range(batch.count):
-                    key = tuple(col[j] for col in key_columns)
-                    matches = (
-                        None
-                        if any(v is None for v in key)
-                        else table.get(key)
-                    )
-                    self._emit_matches(
-                        results,
-                        probe_rows[j],
-                        matches,
-                        residual,
-                        build_null,
-                        preserve_probe,
-                        build_right,
-                    )
-        return results
-
-    def _probe_rows(
-        self,
-        node: PhysicalHashJoin,
-        probe_rows: list,
-        table: dict,
-        probe_keys: list[int],
-        residual,
-        build_null: tuple,
-        preserve_probe: bool,
-    ) -> list:
-        build_right = node.build_right
-        results: list = []
-        for probe in probe_rows:
-            key = tuple(probe[i] for i in probe_keys)
-            matches = None if any(v is None for v in key) else table.get(key)
-            self._emit_matches(
-                results,
-                probe,
-                matches,
-                residual,
-                build_null,
-                preserve_probe,
-                build_right,
-            )
-        return results
-
-    @staticmethod
-    def _emit_matches(
-        results: list,
-        probe: tuple,
-        matches,
-        residual,
-        build_null: tuple,
-        preserve_probe: bool,
-        build_right: bool,
-    ) -> None:
-        emitted = False
-        if matches:
-            for build in matches:
-                combined = probe + build if build_right else build + probe
-                if residual is not None and residual(combined) is not True:
-                    continue
-                results.append(combined)
-                emitted = True
-        if not emitted and preserve_probe:
-            if build_right:
-                results.append(probe + build_null)
-            else:
-                results.append(build_null + probe)
-

@@ -67,25 +67,10 @@ class VolcanoExecutor:
         self._ctx.check_faults()
         self._steps = assign_steps(plan)
         try:
-            per_slice = self._run(plan)
-            rows = self._collect_at_leader(plan, per_slice)
+            rows = self._leader_rows(plan, self._run(plan))
         finally:
             self._finish_stats()
         return rows
-
-    def _collect_at_leader(
-        self, plan: PhysicalNode, per_slice: PerSlice
-    ) -> list[tuple]:
-        kind = plan.partitioning.kind
-        width = exchange.row_width(plan.output) if plan.output else 1
-        if kind == "single":
-            return list(per_slice[0])
-        if kind == "all":
-            rows = list(per_slice[0])
-            self._ctx.interconnect.record_gather(len(rows) * width)
-            return rows
-        materialized = [list(rows) for rows in per_slice]
-        return exchange.gather(materialized, self._ctx, width)
 
     # ---- per-operator instrumentation ------------------------------------------
 
@@ -388,73 +373,116 @@ class VolcanoExecutor:
             ]
         return per_slice
 
-    def _run_hash_join(self, node: PhysicalHashJoin) -> PerSlice:
-        left = self._materialize(node.left, self._run(node.left))
-        right = self._materialize(node.right, self._run(node.right))
-        left_width = exchange.row_width(node.left.output)
-        right_width = exchange.row_width(node.right.output)
-        left_keys = [l for l, _ in node.keys]
-        right_keys = [r for _, r in node.keys]
+    def _join_input(self, side: PhysicalNode, streams: bool) -> PerSlice:
+        """Run one input of a hash join, materialized. *streams* marks a
+        probe side that stays in place, which the vectorized engine keeps
+        as batches."""
+        return self._materialize(side, self._run(side))
 
+    def _move_join_input(
+        self, node: PhysicalNode, rows: PerSlice, build: bool
+    ) -> PerSlice:
+        """Move one input of a join — its *build* side or its probe side —
+        as the join's strategy says. Every engine's joins move their
+        inputs here, so all of them move the same bytes:
+
+        - DS_BCAST_INNER broadcasts one copy of the build side; a
+          replicated probe side keeps one copy;
+        - DS_DIST_INNER / OUTER / BOTH hash-shuffle the sides
+          :func:`redistributed_sides` names, by their first join key;
+        - DS_DIST_NONE moves nothing, but when both sides are replicated
+          the probe side keeps one copy, so only one slice produces.
+        """
+        build_node, build_keys, probe_node, probe_keys = join_sides(node)
+        side, keys = (
+            (build_node, build_keys) if build else (probe_node, probe_keys)
+        )
         strategy = node.strategy
         if strategy is JoinDistribution.DS_DIST_NONE:
-            both_all = (
-                node.left.partitioning.kind == "all"
-                and node.right.partitioning.kind == "all"
-            )
-            if both_all:
-                left = self._one_copy(node.left, left)
-                # right stays replicated; only slice 0 will probe.
-        elif strategy is JoinDistribution.DS_BCAST_INNER:
-            if node.build_right:
-                right = exchange.broadcast(
-                    self._one_copy(node.right, right), self._ctx, right_width
-                )
-                left = self._one_copy(node.left, left)
-            else:
-                left = exchange.broadcast(
-                    self._one_copy(node.left, left), self._ctx, left_width
-                )
-                right = self._one_copy(node.right, right)
-        else:
-            redistribute_left, redistribute_right = redistributed_sides(node)
-            lk, rk = node.keys[0]
-            if redistribute_left:
-                left = self._shuffle_side(node.left, left, lk, left_width)
-            if redistribute_right:
-                right = self._shuffle_side(node.right, right, rk, right_width)
+            # A replicated probe facing a replicated build keeps one copy;
+            # _one_copy leaves any other probe side in place.
+            if build or build_node.partitioning.kind != "all":
+                return rows
+            return self._one_copy(side, rows)
+        width = exchange.row_width(side.output)
+        if strategy is JoinDistribution.DS_BCAST_INNER:
+            rows = self._one_copy(side, rows)
+            return exchange.broadcast(rows, self._ctx, width) if build else rows
+        if not redistributed_sides(node)[0 if build else 1]:
+            return rows
+        key = keys[0]
+        return exchange.shuffle(
+            self._one_copy(side, rows), lambda row: row[key], self._ctx, width
+        )
 
+    def _run_hash_join(self, node: PhysicalHashJoin) -> PerSlice:
+        build_right = node.build_right
+        streams = not probe_moves(node)
+        left = self._join_input(node.left, streams and build_right)
+        right = self._join_input(node.right, streams and not build_right)
+        build, probe = (right, left) if build_right else (left, right)
+        build = self._move_join_input(node, build, build=True)
+        probe = self._move_join_input(node, probe, build=False)
+        _, build_keys, _, probe_keys = join_sides(node)
         residual = _compile(node.residual) if node.residual is not None else None
-        left_null = (None,) * len(node.left.output)
-        right_null = (None,) * len(node.right.output)
-
         out: PerSlice = []
         for s in range(self._ctx.slice_count):
-            out.append(
-                self._join_slice(
-                    node,
-                    left[s],
-                    right[s],
-                    left_keys,
-                    right_keys,
-                    residual,
-                    left_null,
-                    right_null,
-                    slice_index=s,
-                )
+            table, spill_table = self._build_hash_table(
+                node, build[s], build_keys, s
             )
+            keyed = self._keyed(probe[s], probe_keys)
+            out.append(self._probe(node, build_right, keyed, table, residual))
+            if spill_table is not None:
+                spill_table.done()
         return out
 
-    def _shuffle_side(
-        self, side: PhysicalNode, per_slice: PerSlice, key_index: int, width: int
-    ) -> PerSlice:
-        """Hash-redistribute one join input."""
-        return exchange.shuffle(
-            self._one_copy(side, per_slice),
-            lambda row: row[key_index],
-            self._ctx,
-            width,
+    def _keyed(self, rows, keys: list[int]):
+        """``(join key, row)`` per probe row, in order."""
+        return ((tuple(row[i] for i in keys), row) for row in rows)
+
+    def _probe(
+        self, node: PhysicalNode, build_right: bool, keyed, table: dict, residual
+    ) -> list:
+        """One slice of a join: probe *table* (``key -> build rows``) with
+        *keyed* ``(key, probe row)`` pairs. Per probe row, in order, emit
+        each match the residual accepts, or — when the join preserves the
+        probe side — the row NULL-padded if none did; a FULL join's
+        unmatched build rows come last. A key holding NULL matches
+        nothing: the table holds no such key. Every engine's hash and
+        nested-loop joins emit their rows here."""
+        kind = node.kind
+        preserve = kind is ast.JoinKind.FULL or kind is (
+            ast.JoinKind.LEFT if build_right else ast.JoinKind.RIGHT
         )
+        track = kind is ast.JoinKind.FULL
+        left_null = (None,) * len(node.left.output)
+        right_null = (None,) * len(node.right.output)
+        matched: set[int] = set()
+        results: list = []
+        for key, probe in keyed:
+            emitted = False
+            for build in table.get(key, ()):
+                combined = probe + build if build_right else build + probe
+                if residual is not None and residual(combined) is not True:
+                    continue
+                results.append(combined)
+                emitted = True
+                if track:
+                    matched.add(id(build))
+            if preserve and not emitted:
+                results.append(
+                    probe + right_null if build_right else left_null + probe
+                )
+        if track:
+            for rows in table.values():
+                for build in rows:
+                    if id(build) not in matched:
+                        results.append(
+                            left_null + build
+                            if build_right
+                            else build + right_null
+                        )
+        return results
 
     def _build_hash_table(
         self,
@@ -495,81 +523,18 @@ class VolcanoExecutor:
         self._note_spill(node, spill_table, disk.disk_id)
         return table, spill_table
 
-    def _join_slice(
-        self,
-        node: PhysicalHashJoin,
-        left_rows: list,
-        right_rows: list,
-        left_keys: list[int],
-        right_keys: list[int],
-        residual,
-        left_null: tuple,
-        right_null: tuple,
-        slice_index: int = 0,
-    ) -> list:
-        kind = node.kind
-        build_right = node.build_right
-        build_rows = right_rows if build_right else left_rows
-        probe_rows = left_rows if build_right else right_rows
-        build_keys = right_keys if build_right else left_keys
-        probe_keys = left_keys if build_right else right_keys
-
-        table, spill_table = self._build_hash_table(
-            node, build_rows, build_keys, slice_index
-        )
-
-        preserve_probe = (
-            (kind is ast.JoinKind.LEFT and build_right)
-            or (kind is ast.JoinKind.RIGHT and not build_right)
-            or kind is ast.JoinKind.FULL
-        )
-        track_build = kind is ast.JoinKind.FULL
-        matched_build: set[int] = set()
-
-        results: list = []
-        for probe in probe_rows:
-            key = tuple(probe[i] for i in probe_keys)
-            matches = [] if any(v is None for v in key) else table.get(key, [])
-            emitted = False
-            for build in matches:
-                combined = probe + build if build_right else build + probe
-                if residual is not None and residual(combined) is not True:
-                    continue
-                results.append(combined)
-                emitted = True
-                if track_build:
-                    matched_build.add(id(build))
-            if not emitted and preserve_probe:
-                if build_right:
-                    results.append(probe + right_null)
-                else:
-                    results.append(left_null + probe)
-        if track_build:
-            for rows in table.values():
-                for build in rows:
-                    if id(build) not in matched_build:
-                        if build_right:
-                            results.append(left_null + build)
-                        else:
-                            results.append(build + right_null)
-        if spill_table is not None:
-            spill_table.done()
-        return results
-
     def _run_merge_join(self, node: PhysicalMergeJoin) -> PerSlice:
         """Sort-merge join. The operator selection only emits this for
-        co-located (DS_DIST_NONE) inner joins on a single key, so no data
-        movement happens here; each slice sorts its two inputs on the key
-        (near-free when they arrive in sort-key order) and merges."""
+        co-located (DS_DIST_NONE) inner joins on a single key, so its
+        inputs move only as :meth:`_move_join_input` says (the left one
+        probes); each slice sorts its two inputs on the key (near-free
+        when they arrive in sort-key order) and merges."""
         if node.kind is not ast.JoinKind.INNER:
             raise ExecutionError("merge join supports INNER joins only")
         left = self._materialize(node.left, self._run(node.left))
         right = self._materialize(node.right, self._run(node.right))
-        if (
-            node.left.partitioning.kind == "all"
-            and node.right.partitioning.kind == "all"
-        ):
-            left = self._one_copy(node.left, left)
+        left = self._move_join_input(node, left, build=False)
+        right = self._move_join_input(node, right, build=True)
         residual = _compile(node.residual) if node.residual is not None else None
         left_key, right_key = node.keys[0]
         out: PerSlice = []
@@ -622,51 +587,27 @@ class VolcanoExecutor:
         return results
 
     def _run_nested_loop(self, node: PhysicalNestedLoopJoin) -> PerSlice:
+        """A join without equi-keys: broadcast the inner side — the right
+        one, unless a RIGHT join preserves it — and test every pair."""
         left = self._materialize(node.left, self._run(node.left))
         right = self._materialize(node.right, self._run(node.right))
-        left_width = exchange.row_width(node.left.output)
-        right_width = exchange.row_width(node.right.output)
-        broadcast_left = node.kind is ast.JoinKind.RIGHT
-        if broadcast_left:
-            left = exchange.broadcast(
-                self._one_copy(node.left, left), self._ctx, left_width
-            )
-            right = self._one_copy(node.right, right)
-        else:
-            right = exchange.broadcast(
-                self._one_copy(node.right, right), self._ctx, right_width
-            )
-            left = self._one_copy(node.left, left)
+        build_right = node.kind is not ast.JoinKind.RIGHT
+        inner, build, outer, probe = (
+            (node.right, right, node.left, left)
+            if build_right
+            else (node.left, left, node.right, right)
+        )
+        width = exchange.row_width(inner.output)
+        build = exchange.broadcast(self._one_copy(inner, build), self._ctx, width)
+        probe = self._one_copy(outer, probe)
         residual = _compile(node.residual) if node.residual is not None else None
-        left_null = (None,) * len(node.left.output)
-        right_null = (None,) * len(node.right.output)
-        out: PerSlice = []
-        for s in range(self._ctx.slice_count):
-            rows: list = []
-            if broadcast_left:
-                for r_row in right[s]:
-                    emitted = False
-                    for l_row in left[s]:
-                        combined = l_row + r_row
-                        if residual is not None and residual(combined) is not True:
-                            continue
-                        rows.append(combined)
-                        emitted = True
-                    if not emitted and node.kind is ast.JoinKind.RIGHT:
-                        rows.append(left_null + r_row)
-            else:
-                for l_row in left[s]:
-                    emitted = False
-                    for r_row in right[s]:
-                        combined = l_row + r_row
-                        if residual is not None and residual(combined) is not True:
-                            continue
-                        rows.append(combined)
-                        emitted = True
-                    if not emitted and node.kind is ast.JoinKind.LEFT:
-                        rows.append(l_row + right_null)
-            out.append(rows)
-        return out
+        return [
+            self._probe(
+                node, build_right, (((), row) for row in probe[s]),
+                {(): build[s]}, residual,
+            )
+            for s in range(self._ctx.slice_count)
+        ]
 
     # ---- aggregation / distinct -----------------------------------------------
 
@@ -731,13 +672,7 @@ class VolcanoExecutor:
         transferred = 0
         for states in partials:
             transferred += len(states)
-            for key, entry in states.items():
-                target = merged.get(key)
-                if target is None:
-                    merged[key] = entry
-                else:
-                    for i, agg in enumerate(aggregates):
-                        target[i] = agg.merge(target[i], entry[i])
+            merge_states(merged, states, aggregates)
         self._ctx.interconnect.record_gather(transferred * width)
         merged = self._finish_agg_states(node, 0, merged)
 
@@ -815,28 +750,46 @@ class VolcanoExecutor:
         return [rows[start:end]] + [[] for _ in range(self._ctx.slice_count - 1)]
 
 
-def redistributed_sides(node: PhysicalHashJoin) -> tuple[bool, bool]:
-    """Which inputs of a hash join get hash-shuffled under its strategy.
+def merge_states(target: dict, states: dict, aggregates) -> None:
+    """Fold one map of per-group partial states into *target*, key by
+    key, in *states*' order: a new key takes its entry as is. The one
+    merge of partial aggregates, leader-side and per morsel alike."""
+    for key, entry in states.items():
+        existing = target.get(key)
+        if existing is None:
+            target[key] = entry
+        else:
+            for i, agg in enumerate(aggregates):
+                existing[i] = agg.merge(existing[i], entry[i])
 
-    (False, False) for co-located and broadcast joins.
-    """
-    strategy = node.strategy
-    if strategy in (
-        JoinDistribution.DS_DIST_NONE,
-        JoinDistribution.DS_BCAST_INNER,
-    ):
-        return False, False
-    redistribute_left = strategy is JoinDistribution.DS_DIST_BOTH or (
-        strategy is JoinDistribution.DS_DIST_INNER and not node.build_right
-    ) or (
-        strategy is JoinDistribution.DS_DIST_OUTER and node.build_right
+
+def join_sides(node: PhysicalNode) -> tuple[PhysicalNode, list, PhysicalNode, list]:
+    """``(build input, its keys, probe input, its keys)`` of an equi-join.
+    A merge join builds nothing; its left input counts as the probe."""
+    left_keys = [l for l, _ in node.keys]
+    right_keys = [r for _, r in node.keys]
+    if getattr(node, "build_right", True):
+        return node.right, right_keys, node.left, left_keys
+    return node.left, left_keys, node.right, right_keys
+
+
+def probe_moves(node: PhysicalNode) -> bool:
+    """Whether a join's strategy hash-shuffles its probe input — which a
+    fused (compiled) or batch (vectorized) probe cannot follow."""
+    return node.strategy in (
+        JoinDistribution.DS_DIST_OUTER,
+        JoinDistribution.DS_DIST_BOTH,
     )
-    redistribute_right = strategy is JoinDistribution.DS_DIST_BOTH or (
-        strategy is JoinDistribution.DS_DIST_INNER and node.build_right
-    ) or (
-        strategy is JoinDistribution.DS_DIST_OUTER and not node.build_right
+
+
+def redistributed_sides(node: PhysicalNode) -> tuple[bool, bool]:
+    """Which inputs, ``(build, probe)``, a join's strategy hash-shuffles:
+    neither for co-located and broadcast joins."""
+    build = node.strategy in (
+        JoinDistribution.DS_DIST_INNER,
+        JoinDistribution.DS_DIST_BOTH,
     )
-    return redistribute_left, redistribute_right
+    return build, probe_moves(node)
 
 
 def scan_column_names(node: PhysicalScan) -> list:

@@ -123,9 +123,6 @@ class MorselTask:
     snapshot: Snapshot
     #: Leader-drawn fault decision: the worker raises WorkerCrashError.
     crash: bool = False
-    #: The session's ``enable_encoded_scan``: the cursor hands the
-    #: kernels whitelisted codecs undecoded, as in the vectorized engine.
-    encoded: bool = False
 
 
 @dataclass
@@ -188,7 +185,7 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             include_tail=task.include_tail,
             stats=result.scan,
             charge=result.io_log.append,
-            encoded=task.encoded,
+            encoded=True,
         ):
             result.scanned_rows += batch.count
             batch = apply_masks(batch, masks)

@@ -124,9 +124,6 @@ class FaultInjector:
             factor *= spec.slow_factor
         return factor
 
-    def s3_outage_active(self, region: str = "") -> bool:
-        return bool(self._active(FaultKind.S3_OUTAGE, region))
-
     # ---- EC2 ---------------------------------------------------------------
 
     def ec2_capacity_interrupted(self) -> bool:

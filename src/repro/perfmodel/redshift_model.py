@@ -100,6 +100,3 @@ class RedshiftPerfModel:
 
     def hourly_cost_usd(self) -> float:
         return self.node_count * self.nodes.hourly_price_usd
-
-    def storage_capacity_bytes(self) -> int:
-        return self.node_count * self.nodes.storage_bytes

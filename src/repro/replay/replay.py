@@ -76,12 +76,6 @@ class LatencyComparison:
     replay_p50_ms: float
     replay_p99_ms: float
 
-    @property
-    def p50_ratio(self) -> float:
-        if self.baseline_p50_ms == 0.0:
-            return 0.0
-        return self.replay_p50_ms / self.baseline_p50_ms
-
 
 @dataclass
 class ReplayDiff:

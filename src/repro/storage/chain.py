@@ -16,7 +16,6 @@ from repro.compression.codecs import Codec, codec_by_name
 from repro.datatypes.types import SqlType
 from repro.storage import blockcache
 from repro.storage.block import BLOCK_CAPACITY_DEFAULT, Block
-from repro.storage.zonemap import ZoneMap
 
 
 @dataclass
@@ -141,13 +140,6 @@ class ColumnChain:
         """Accounted on-disk bytes of all sealed blocks plus the raw tail."""
         tail_bytes = len(self._tail) * self.sql_type.byte_width
         return sum(b.encoded_bytes for b in self._blocks) + tail_bytes
-
-    def chain_zone_map(self) -> ZoneMap:
-        """Zone map over the whole chain (used for table-level pruning)."""
-        zone = ZoneMap.build(self._tail)
-        for block in self._blocks:
-            zone = zone.merge(block.zone_map)
-        return zone
 
     # ---- reads ---------------------------------------------------------------
 

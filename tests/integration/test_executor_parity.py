@@ -65,18 +65,61 @@ def test_both_executors_read_identical_blocks(loaded_cluster):
     assert v.stats.scan.blocks_skipped == c.stats.scan.blocks_skipped
 
 
+#: One query per join shape, with the plan line that proves the shape.
+#: ``ranked`` is KEY- and sort-keyed on its join column (merge joins);
+#: ``spread`` is EVEN, so any join on it moves rows.
+JOIN_SHAPES = [
+    ("Hash INNER Join DS_DIST_NONE",
+     "SELECT u.name, count(*) FROM clicks c JOIN users u "
+     "ON c.user_id = u.id GROUP BY u.name"),
+    ("Hash INNER Join DS_DIST_NONE",
+     "SELECT a.label, b.label FROM tiny a JOIN tiny b ON a.k = b.k"),
+    ("Hash INNER Join DS_BCAST_INNER",
+     "SELECT c.n, u.name FROM clicks c JOIN users u ON c.n = u.id"),
+    ("Hash INNER Join DS_DIST_INNER",
+     "SELECT c.n, p.y FROM clicks c JOIN spread p ON c.user_id = p.x"),
+    ("Hash INNER Join DS_DIST_OUTER",
+     "SELECT r.v, p.y FROM ranked r JOIN spread p ON r.k = p.x"),
+    ("Hash INNER Join DS_DIST_BOTH",
+     "SELECT p.y, q.y FROM spread p JOIN spread q ON p.x = q.y"),
+    ("Merge INNER Join DS_DIST_NONE",
+     "SELECT a.v, b.v FROM ranked a JOIN ranked b ON a.k = b.k"),
+    ("Nested Loop INNER Join",
+     "SELECT u.name, t.label FROM users u JOIN tiny t ON u.age > t.k"),
+    ("Hash LEFT Join",
+     "SELECT u.name, c.n FROM users u LEFT JOIN clicks c ON u.id = c.n"),
+    ("Hash RIGHT Join",
+     "SELECT u.name, c.n FROM clicks c RIGHT JOIN users u ON u.id = c.n"),
+    ("Hash FULL Join",
+     "SELECT u.name, c.n FROM users u FULL JOIN clicks c ON u.id = c.n"),
+]
+
+
 def test_both_executors_move_identical_bytes(loaded_cluster):
-    sql = (
-        "SELECT u.name, count(*) FROM clicks c JOIN users u "
-        "ON c.user_id = u.id GROUP BY u.name"
+    """Every executor moves a join's inputs the same way: per shape, all
+    four return the same rows and the same interconnect counters."""
+    s = loaded_cluster.connect()
+    s.execute("CREATE TABLE ranked (k int, v int) DISTKEY(k) SORTKEY(k)")
+    s.execute(
+        "INSERT INTO ranked VALUES "
+        + ",".join(f"({i % 50}, {i})" for i in range(300))
     )
-    v = loaded_cluster.connect(executor="volcano").execute(sql)
-    c = loaded_cluster.connect(executor="compiled").execute(sql)
-    assert v.stats.network.bytes_broadcast == c.stats.network.bytes_broadcast
-    assert (
-        v.stats.network.bytes_redistributed
-        == c.stats.network.bytes_redistributed
+    s.execute("CREATE TABLE spread (x int, y int) DISTSTYLE EVEN")
+    s.execute(
+        "INSERT INTO spread VALUES "
+        + ",".join(f"({i % 60}, {i})" for i in range(400))
     )
+    for shape, sql in JOIN_SHAPES:
+        plan = "\n".join(row[0] for row in s.execute("EXPLAIN " + sql).rows)
+        assert shape in plan, (sql, plan)
+        runs = {
+            name: loaded_cluster.connect(executor=name).execute(sql)
+            for name in ("volcano", "compiled", "vectorized", "parallel")
+        }
+        reference = runs["volcano"]
+        for name, run in runs.items():
+            assert normalize(run.rows) == normalize(reference.rows), (name, sql)
+            assert run.stats.network == reference.stats.network, (name, sql)
 
 
 def test_compiled_reports_compile_time(loaded_cluster):

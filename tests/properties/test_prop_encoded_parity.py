@@ -13,11 +13,11 @@ layout), including the shapes most likely to break a pushdown kernel:
   behind the escape flag, compared by integer image like the rest).
 
 Hypothesis then generates filter/aggregate/projection queries and runs
-each through all four executors twice — ``enable_encoded_scan`` on and
-off. Within one executor the two runs must match *exactly* (same rows,
-same order: the encoded kernels are required to be bit-identical, not
-just equivalent); across executors the usual normalized comparison
-applies (row order and float summation order legitimately differ).
+each through all four executors. Batch scans (vectorized, and the
+parallel morsels) read encoded; row scans (volcano, compiled) decode, so
+volcano is the decoded reference. Across executors the usual normalized
+comparison applies (row order and float summation order legitimately
+differ).
 
 A second property drives ``Block.corrupt`` bit-flips into the *encoded*
 payloads of every operate-on-compressed codec and checks the payload
@@ -69,13 +69,9 @@ def _build():
 
 
 _CLUSTER = _build()
-_ON = {name: _CLUSTER.connect(executor=name) for name in EXECUTORS}
-_OFF = {name: _CLUSTER.connect(executor=name) for name in EXECUTORS}
-for _s in _ON.values():
+_SESSIONS = {name: _CLUSTER.connect(executor=name) for name in EXECUTORS}
+for _s in _SESSIONS.values():
     _s.execute("SET enable_result_cache = off")
-for _s in _OFF.values():
-    _s.execute("SET enable_result_cache = off")
-    _s.execute("SET enable_encoded_scan = off")
 
 
 def normalize(rows):
@@ -144,23 +140,17 @@ def queries(draw):
 @given(queries())
 @settings(max_examples=60, deadline=None)
 def test_encoded_matches_decoded_per_executor(sql):
-    reference = None
+    reference = normalize(_SESSIONS["volcano"].execute(sql).rows)
     for name in EXECUTORS:
-        on = _ON[name].execute(sql)
-        off = _OFF[name].execute(sql)
-        # Same executor, encoded vs decoded: exact — rows, order, types.
-        assert on.rows == off.rows, (name, sql)
-        if reference is None:
-            reference = normalize(on.rows)
-        else:
-            assert normalize(on.rows) == reference, (name, sql)
+        rows = _SESSIONS[name].execute(sql).rows
+        assert normalize(rows) == reference, (name, sql)
 
 
 @given(predicates())
 @settings(max_examples=30, deadline=None)
 def test_scan_accounting_matches_across_paths(pred):
     sql = f"SELECT count(*) FROM e WHERE {pred}"
-    results = [s.execute(sql) for s in (*_ON.values(), *_OFF.values())]
+    results = [s.execute(sql) for s in _SESSIONS.values()]
     assert len({r.rows[0][0] for r in results}) == 1, pred
     assert len({r.stats.scan.blocks_read for r in results}) == 1, pred
     assert len({r.stats.scan.blocks_skipped for r in results}) == 1, pred
@@ -174,15 +164,16 @@ def test_encoded_path_actually_engages():
     # path rightly prefers an already-resident decoded vector; start
     # cold so the compressed path is what actually runs.
     _CLUSTER.block_cache.clear()
-    r = _ON["vectorized"].execute(
+    r = _SESSIONS["vectorized"].execute(
         "SELECT count(*), sum(rl) FROM e WHERE db = 7"
     )
     scan = r.stats.scan
     assert scan.encoded_batches > 0
     assert scan.decode_bytes_avoided > 0
     assert "bytedict" in scan.encoding and "runlength" in scan.encoding
-    # And the decoded control never touches the encoded machinery.
-    off = _OFF["vectorized"].execute(
+    # And the decoded control (row scans) never touches the encoded
+    # machinery.
+    off = _SESSIONS["volcano"].execute(
         "SELECT count(*), sum(rl) FROM e WHERE db = 7"
     )
     assert off.stats.scan.encoded_batches == 0
@@ -204,11 +195,16 @@ _CORRUPTIBLE = (
 )
 
 
+#: Whether the encoded scan path is on -> the executor whose scans take
+#: it: batch scans read encoded, row scans decode.
+SCAN_PATHS = {"on": "vectorized", "off": "volcano"}
+
+
 @pytest.mark.parametrize("codec,value", _CORRUPTIBLE, ids=lambda c: c[0] if isinstance(c, str) else "")
-@pytest.mark.parametrize("encoded_scan", ["on", "off"])
+@pytest.mark.parametrize("encoded_scan", SCAN_PATHS)
 def test_corrupt_payload_caught_by_checksum(codec, value, encoded_scan):
     cluster = Cluster(node_count=1, slices_per_node=1, block_capacity=256)
-    s = cluster.connect(executor="vectorized")
+    s = cluster.connect(executor=SCAN_PATHS[encoded_scan])
     # bigint so every mostly width actually narrows (mostly32 refuses a
     # 4-byte int — nothing to narrow).
     s.execute(f"CREATE TABLE c (v bigint encode {codec})")
@@ -217,7 +213,6 @@ def test_corrupt_payload_caught_by_checksum(codec, value, encoded_scan):
         + ",".join(f"({value(i)})" for i in range(600))
     )
     cluster.seal_table("c")
-    s.execute(f"SET enable_encoded_scan = {encoded_scan}")
     total = s.execute("SELECT count(*), sum(v) FROM c").rows
     assert total == [(600, sum(value(i) for i in range(600)))]
     block = cluster.slice_stores[0].shard("c").chain("v").blocks[0]

@@ -9,7 +9,9 @@ workers ship partial aggregates only: no row-shipping or join-partitioning
 path comes back, and neither does worker-side spill: a governed aggregate
 spills on the leader. A recoverable fault is repaired at the read that met
 it, through one helper; no statement-level retry comes back, and spill IO
-keeps no private retry loop.
+keeps no private retry loop. The Volcano executor alone moves join inputs
+and merges partial aggregates: the other executors override per-slice
+evaluation only.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -36,6 +38,12 @@ STATEMENT_RETRY = re.compile(
 )
 WORKER_SPILL = re.compile(
     r"SpillLog|LogSpillFile|spill_log|_accounted|spill_retry|morsel_blocks"
+)
+#: Join-input movement and the merge of two partial states (not the
+#: COUNT(*) fold ``agg.merge(entry[i], count)``, which merges a row count).
+DISTRIBUTION_MECHANICS = re.compile(
+    r"exchange\.broadcast\(|exchange\.shuffle\(|JoinDistribution\."
+    r"|\.merge\(\w+\[i\], entry\[i\]\)"
 )
 
 
@@ -142,3 +150,12 @@ def test_recoverable_faults_are_caught_in_one_place():
     path, line = uses[0]
     assert path == "exec/context.py"
     assert helper.lineno <= line <= helper.end_lineno
+
+
+def test_only_volcano_moves_join_inputs_and_merges_partials():
+    """Only ``exec/volcano.py`` moves join inputs, names a join strategy
+    or merges partial states (DESIGN.md §8), and the leader collect has
+    one name, ``_leader_rows``."""
+    found = offenders(("exec",), DISTRIBUTION_MECHANICS)
+    assert found and all(line.startswith("exec/volcano.py:") for line in found)
+    assert offenders(("",), re.compile(r"_collect_at_leader")) == []

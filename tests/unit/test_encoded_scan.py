@@ -5,8 +5,8 @@ masks with escapes and NULL splicing, RLE folds, MOSTLY image
 comparisons, late-materializing gather), the zone-map ``must_satisfy``
 dual, the decode cache's non-decoding ``peek``, the ``accumulate_run``
 fold contracts, and the observable surface: ``svl_scan_encoding``, the
-svl_query_summary columns, EXPLAIN ANALYZE annotations and
-``SET enable_encoded_scan`` validation.
+svl_query_summary columns, EXPLAIN ANALYZE annotations, and the
+deleted ``SET enable_encoded_scan`` staying unknown.
 """
 
 import pytest
@@ -242,16 +242,9 @@ class TestObservability:
         assert "dict-pushdown" in plan and "rle-fold" in plan
 
     def test_set_parameter_validation_and_off(self):
-        cluster, s = _encoded_cluster()
-        with pytest.raises(AnalysisError):
-            s.execute("SET enable_encoded_scan = maybe")
-        s.execute("SET enable_encoded_scan = off")
-        r = s.execute("SELECT count(*) FROM t WHERE k = 3")
-        assert r.stats.scan.encoded_batches == 0
-        assert r.stats.scan.encoding == {}
-        # No encoded work -> the snapshot table keeps its previous rows
-        # (replace-style, like stv_query_spill), and SET on restores.
-        s.execute("SET enable_encoded_scan = on")
-        cluster.block_cache.clear()
-        r = s.execute("SELECT count(*) FROM t WHERE k = 4")
-        assert r.stats.scan.encoded_batches > 0
+        """The knob is gone: every batch scan reads encoded, so SET
+        enable_encoded_scan is an unknown parameter, like enable_spill."""
+        _, s = _encoded_cluster()
+        for value in ("maybe", "off", "on"):
+            with pytest.raises(AnalysisError, match="unknown session parameter"):
+                s.execute(f"SET enable_encoded_scan = {value}")

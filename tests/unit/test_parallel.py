@@ -182,9 +182,7 @@ class TestMorsels:
         )
         for quantum in range(1, most_blocks + 2):
             keys, scan = [], ScanStats()
-            for task in _tasks_for(
-                cluster, spec, morsel_blocks=quantum, encoded=True
-            ):
+            for task in _tasks_for(cluster, spec, morsel_blocks=quantum):
                 result = run_morsel(task, cluster.slice_stores)
                 keys.extend(_keys(result))
                 scan.merge(result.scan)
@@ -212,7 +210,6 @@ class TestMorsels:
                     (make_aggregate("min"), ast.BoundRef(2, INTEGER, "c")),
                 )),
             ),
-            encoded=True,
         ):
             result = run_morsel(task, encoded_cluster.slice_stores)
             assert result.scan.encoded_batches > 0
@@ -231,24 +228,22 @@ class TestEncodedMorsels:
         "SELECT count(*), sum(c), max(c) FROM m",
     )
     #: Runs on the serial batch engine (no morsels), which reads the
-    #: decode cache the aggregates' ``off`` runs warmed: rows only.
+    #: decode cache the volcano runs warmed: rows only.
     ROWS = "SELECT a, b, c FROM m WHERE c >= 2 ORDER BY a"
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "fork"])
-    def test_enable_encoded_scan_governs_the_workers(
-        self, encoded_cluster, mode
-    ):
+    def test_the_workers_scan_encoded(self, encoded_cluster, mode):
+        """Morsels run the batch kernels on compressed blocks and match
+        volcano, whose row scans decode."""
         if mode == "fork" and workers.default_mode() != "fork":
             pytest.skip("platform has no fork")
         volcano = encoded_cluster.connect(executor="volcano")
         s = _parallel(encoded_cluster, mode)
         s.execute("SET enable_result_cache = off")
         for sql in (*self.AGGREGATES, self.ROWS):
-            s.execute("SET enable_encoded_scan = on")
             on = s.execute(sql)
-            s.execute("SET enable_encoded_scan = off")
-            off = s.execute(sql)
-            assert on.rows == off.rows == volcano.execute(sql).rows, sql
+            off = volcano.execute(sql)
+            assert on.rows == off.rows, sql
             if sql == self.ROWS:
                 continue
             assert on.stats.scan.encoded_batches > 0, sql

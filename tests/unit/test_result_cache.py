@@ -258,8 +258,8 @@ class TestSessionIntegration:
 
     def test_wlm_gate_bypassed_on_hits(self, cluster):
         gate = AdmissionGate()
-        cluster.wlm_gate = gate
         s = cluster.connect()
+        s.wlm_gate = gate
         sql = "SELECT sum(v) FROM a"
         s.execute(sql)
         s.execute(sql)
