@@ -142,6 +142,10 @@ class ColumnBatch:
         return ColumnBatch(columns, len(selection))
 
 
+class BatchList(list):
+    """Marker type: a per-slice payload of ColumnBatches (vs row tuples)."""
+
+
 def _no_unresolved(ref: ast.ColumnRef) -> int:
     raise ExecutionError(f"unresolved column reference {ref.to_sql()!r}")
 

@@ -8,34 +8,38 @@ execution in a general-purpose set of executor functions" (paper §2.1).
 
 This executor reproduces that design point in Python: each pipeline
 (scan → filters → joins' probe sides → projection → aggregation) is fused
-into one generated function, compiled with ``compile()`` — replacing the
-Volcano executor's per-row generator and closure dispatch with straight
-loops over local variables. The fixed compile cost and the per-row win are
-both real and measured (experiment a2).
+into one generated function, compiled with ``compile()``, that loops over
+each block's column vectors: one loop variable per column it reads, whole
+rows zipped only for a collect or a join probe, COUNT / SUM / MIN / MAX
+folded inline. The fixed compile cost and the per-row win are both real
+and measured (experiment a2).
 
 Every run emits its pipelines' source; the source is the key of the
 cluster's code cache (:mod:`repro.exec.segmentcache`), so only source
 never seen before pays ``compile()``, and two plans share code exactly
-when they generate the same code. Run-specific values — hoisted
-constants, join hash tables, accumulators — enter through ``_env``.
+when they generate the same code. Run-specific values — every literal,
+join hash tables, accumulators — enter through ``_env``.
 
 Blocking operators (hash-table builds, exchanges, sorts, limits, the
 leader merge of partial aggregates) are inherited from the Volcano executor,
 so every executor moves identical bytes over the interconnect and reads
 identical blocks; this one overrides only per-slice evaluation.
 
-Operate-on-compressed scans (DESIGN.md §13) are a batch-engine concept:
-this executor's generated loops are row-at-a-time, so its scans take the
-decoded path — the universal fallback of the encoded-kernel contract.
+Operate-on-compressed scans (DESIGN.md §13) are a batch-kernel concept:
+the generated loops read decoded vectors — the universal fallback of the
+encoded-kernel contract.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import repeat
 from typing import Callable
 
 from repro.errors import ExecutionError
-from repro.exec.volcano import VolcanoExecutor, join_sides, probe_moves
+from repro.exec.volcano import (
+    VolcanoExecutor, join_sides, probe_moves, scan_column_names,
+)
 from repro.plan.physical import (
     PhysicalAggregate,
     PhysicalFilter,
@@ -67,7 +71,9 @@ from repro.sql.expressions import (
     sql_or,
     sql_sub,
 )
-from repro.sql.functions import scalar_function
+from repro.sql.functions import (
+    CountAggregate, MaxAggregate, MinAggregate, SumAggregate, scalar_function,
+)
 
 _BINARY_HELPERS = {
     "=": "sql_eq", "<>": "sql_ne", "<": "sql_lt", "<=": "sql_le",
@@ -84,6 +90,25 @@ _RUNTIME = {
     "sql_mod": sql_mod, "sql_concat": sql_concat, "sql_and": sql_and,
     "sql_or": sql_or, "sql_not": sql_not, "sql_neg": sql_neg,
     "sql_like": sql_like, "sql_in": sql_in, "cast_value": cast_value,
+    # A block's whole rows, zipped at C speed, NULL in dead slots.
+    "_block_rows": lambda batch: (
+        zip(*[repeat(None, batch.count) if c is None else c for c in batch.columns])
+        if batch.columns else repeat((), batch.count)
+    ),
+}
+
+#: Loop-variable prefix of a scan column read column by column: ``_x3`` is
+#: column 3. No ``_ExprGen.fresh`` or ``hoist`` prefix starts with it.
+_COLUMNS = "_x"
+
+#: ``accumulate`` inline, by exact class, on a state ``{s}`` and a
+#: non-NULL value ``{v}``: min / max replace only on a strict ``<`` / ``>``,
+#: so a tie keeps the incumbent (``-0.0`` vs ``0.0``).
+_INLINE_ACCUMULATE = {
+    CountAggregate: "{s} += 1",
+    SumAggregate: "{s} = {v} if {s} is None else {s} + {v}",
+    MinAggregate: "if {s} is None or {v} < {s}: {s} = {v}",
+    MaxAggregate: "if {s} is None or {v} > {s}: {s} = {v}",
 }
 
 
@@ -95,10 +120,8 @@ _COMPARISON_OPS = frozenset(["=", "<>", "<", "<=", ">", ">="])
 _ARITH_INLINE_OPS = frozenset(["+", "-", "*"])
 
 
-def _is_literal(code: str) -> bool:
-    return code in ("None", "True", "False") or code[:1].isdigit() or (
-        code[:1] == "-" and code[1:2].isdigit()
-    ) or code[:1] in ("'", '"')
+#: The only operands spelled inline: NULL, the booleans and COUNT(*)'s 1.
+_INLINE_LITERALS = frozenset(["None", "True", "False", "1"])
 
 
 def _static_type(expr: ast.Expression):
@@ -141,15 +164,19 @@ def _inlinable(expr: ast.BinaryOp) -> bool:
 class _ExprGen:
     """Generates Python source for bound expressions.
 
-    Values that cannot be safely spelled inline (dates, decimals, function
-    objects, cast targets) are hoisted into the environment dict and bound
-    to fresh names at function entry.
+    Literals (but NULL and the booleans), function objects and cast
+    targets are hoisted into the environment dict and bound to fresh
+    names at function entry, so the source is the statement's template.
     """
 
     def __init__(self) -> None:
         self.env: dict[str, object] = dict(_RUNTIME)
         self._temp = 0
         self._const = 0
+        #: Hoisted literals: names that never hold NULL.
+        self._non_null: set[str] = set()
+        #: Scan columns read through their loop variables.
+        self.columns: set[int] = set()
 
     def fresh(self, prefix: str = "_t") -> str:
         self._temp += 1
@@ -161,10 +188,16 @@ class _ExprGen:
         self.env[name] = value
         return name
 
+    def nullable(self, code: str) -> bool:
+        """Whether *code* may be NULL: anything but a non-NULL literal."""
+        return code == "None" or not (
+            code in _INLINE_LITERALS or code in self._non_null
+        )
+
     def _ensure_simple(self, lines: list[str], code: str) -> str:
         """Bind *code* to a temp unless it is already a cheap atom, so
         inlined operators never evaluate an operand twice."""
-        if code.isidentifier() or _IS_INDEXED.fullmatch(code) or _is_literal(code):
+        if code.isidentifier() or _IS_INDEXED.fullmatch(code) or code in _INLINE_LITERALS:
             return code
         name = self.fresh("_v")
         lines.append(f"{name} = {code}")
@@ -174,56 +207,52 @@ class _ExprGen:
         """Generate a plain-bool condition for filter position: SQL TRUE
         maps to Python True, FALSE and NULL both to False."""
         if isinstance(expr, ast.BinaryOp) and _inlinable(expr):
-            l_lines, l_expr = self.gen(expr.left, row)
-            r_lines, r_expr = self.gen(expr.right, row)
-            lines = l_lines + r_lines
-            a = self._ensure_simple(lines, l_expr)
-            b = self._ensure_simple(lines, r_expr)
-            op = {"=": "==", "<>": "!="}.get(expr.op, expr.op)
-            checks = [
-                f"{operand} is not None"
-                for operand in (a, b)
-                if not _is_literal(operand)
-            ]
-            guarded = " and ".join(checks + [f"{a} {op} {b}"])
-            return lines, f"({guarded})"
+            lines, code, nullable = self._inline(expr, row)
+            checks = [f"{operand} is not None" for operand in nullable]
+            return lines, f"({' and '.join(checks + [code])})"
         lines, code = self.gen(expr, row)
         return lines, f"(({code}) is True)"
+
+    def _inline(self, expr: ast.BinaryOp, row: str) -> tuple[list[str], str, list]:
+        """Type-aware inlining: when static types guarantee Python's
+        operator agrees with SQL semantics (no Decimal/float mixing, no
+        temporal arithmetic, no division), the operator is emitted
+        directly. Returns (setup lines, ``a op b``, the operands that may
+        be NULL, which the caller checks)."""
+        l_lines, a = self.gen(expr.left, row)
+        r_lines, b = self.gen(expr.right, row)
+        lines = l_lines + r_lines
+        a = self._ensure_simple(lines, a)
+        b = self._ensure_simple(lines, b)
+        op = {"=": "==", "<>": "!="}.get(expr.op, expr.op)
+        return lines, f"{a} {op} {b}", [x for x in (a, b) if self.nullable(x)]
 
     def gen(self, expr: ast.Expression, row: str) -> tuple[list[str], str]:
         """Return (setup lines, expression string) for *expr* over *row*."""
         if isinstance(expr, ast.Literal):
             value = literal_value(expr)
-            if value is None or isinstance(value, (bool, int, str)):
+            if value is None or isinstance(value, bool):
                 return [], repr(value)
-            return [], self.hoist(value)
+            name = self.hoist(value)
+            self._non_null.add(name)
+            return [], name
         if isinstance(expr, ast.BoundRef):
+            if row == _COLUMNS:
+                self.columns.add(expr.index)
+                return [], f"{_COLUMNS}{expr.index}"
             return [], f"{row}[{expr.index}]"
         if isinstance(expr, ast.BinaryOp):
             helper = _BINARY_HELPERS.get(expr.op)
             if helper is None:
                 raise ExecutionError(f"unsupported operator {expr.op!r}")
+            if _inlinable(expr):
+                lines, code, nullable = self._inline(expr, row)
+                if not nullable:
+                    return lines, f"({code})"
+                checks = " or ".join(f"{operand} is None" for operand in nullable)
+                return lines, f"(None if {checks} else ({code}))"
             l_lines, l_expr = self.gen(expr.left, row)
             r_lines, r_expr = self.gen(expr.right, row)
-            # Type-aware inlining: when static types guarantee Python's
-            # operator agrees with SQL semantics (no Decimal/float mixing,
-            # no temporal arithmetic, no division), emit the operator
-            # directly with an explicit NULL check instead of a helper call.
-            if _inlinable(expr):
-                lines = l_lines + r_lines
-                a = self._ensure_simple(lines, l_expr)
-                b = self._ensure_simple(lines, r_expr)
-                op = {"=": "==", "<>": "!="}.get(expr.op, expr.op)
-                checks = [
-                    f"{operand} is None"
-                    for operand in (a, b)
-                    if not _is_literal(operand)
-                ]
-                if not checks:
-                    return lines, f"({a} {op} {b})"
-                return lines, (
-                    f"(None if {' or '.join(checks)} else ({a} {op} {b}))"
-                )
             return l_lines + r_lines, f"{helper}({l_expr}, {r_expr})"
         if isinstance(expr, ast.UnaryOp):
             lines, inner = self.gen(expr.operand, row)
@@ -318,7 +347,7 @@ class _PipelineCompiler:
     function; ``self.expr.env`` is the environment that source reads.
 
     The generated function has the signature ``_pipeline(_src, _env)`` where
-    ``_src`` is the iterable feeding the pipeline's source node and
+    ``_src`` holds the scan's batches (one per surviving block) and
     ``_env`` holds hoisted constants, helpers, prebuilt join hash tables
     and output accumulators.
     """
@@ -327,7 +356,11 @@ class _PipelineCompiler:
         self.expr = _ExprGen()
         self.lines: list[str] = []
         self.indent = 1
-        self._joins: list[PhysicalHashJoin] = []
+        self.joins: list[PhysicalHashJoin] = []
+        #: The pipeline's source, and whether its row reaches a consumer
+        #: that takes it whole.
+        self.scan: PhysicalScan | None = None
+        self._whole_rows = False
 
     def add(self, line: str) -> None:
         self.lines.append("    " * self.indent + line)
@@ -340,12 +373,16 @@ class _PipelineCompiler:
         def consume(row_var: str) -> None:
             self.add(f"_out.append({row_var})")
 
-        return self._finish(node, consume, header_extra=["_out = _env['_out']"])
+        return self._finish(
+            node, consume, ["_out = _env['_out']"], whole_rows=True
+        )
 
     def aggregate_source(
-        self, node: PhysicalNode, aggregate: PhysicalAggregate
+        self, node: PhysicalNode, aggregate: PhysicalAggregate, governed: bool
     ) -> str:
-        """Pipeline terminated by partial aggregation into ``_env['_states']``."""
+        """Pipeline terminated by partial aggregation into ``_env['_states']``.
+        A single group key is looked up by value first (no tuple per row),
+        unless *governed*: a spilled group must open a new generation."""
 
         def consume(row_var: str) -> None:
             key_parts = []
@@ -354,42 +391,65 @@ class _PipelineCompiler:
                 for line in lines:
                     self.add(line)
                 key_parts.append(code)
+            by_value = len(key_parts) == 1 and not governed
+            if by_value:
+                setup: list[str] = []
+                value = key_parts[0] = self.expr._ensure_simple(setup, key_parts[0])
+                for line in setup + [f"_st = _groups.get({value})"]:
+                    self.add(line)
+                self.add("if _st is None:")
+                self.indent += 1
             key = "(" + ", ".join(key_parts) + ("," if len(key_parts) == 1 else "") + ")"
             self.add(f"_key = {key}")
             self.add("_st = _states.get(_key)")
             self.add("if _st is None:")
             self.add("    _st = [_agg_create[_i]() for _i in range(_nagg)]")
             self.add("    _states[_key] = _st")
+            if by_value:
+                self.add(f"_groups[{value}] = _st")
+                self.indent -= 1
             for i, call in enumerate(aggregate.aggregates):
-                if call.argument is None:
-                    value = "1"
-                else:
+                lines: list[str] = []
+                value = "1"
+                if call.argument is not None:
                     lines, value = self.expr.gen(call.argument, row_var)
-                    for line in lines:
-                        self.add(line)
-                self.add(f"_st[{i}] = _agg_acc[{i}](_st[{i}], {value})")
+                step = _INLINE_ACCUMULATE.get(type(call.aggregate))
+                if step is None:
+                    lines.append(f"_st[{i}] = _agg_acc[{i}](_st[{i}], {value})")
+                else:
+                    value = self.expr._ensure_simple(lines, value)
+                    step = step.format(s=f"_st[{i}]", v=value)
+                    if self.expr.nullable(value):
+                        lines.append(f"if {value} is not None:")
+                        step = "    " + step
+                    lines.append(step)
+                for line in lines:
+                    self.add(line)
 
         header = [
+            "_groups = {}",
             "_states = _env['_states']",
             "_agg_create = _env['_agg_create']",
             "_agg_acc = _env['_agg_acc']",
             f"_nagg = {len(aggregate.aggregates)}",
         ]
-        return self._finish(node, consume, header_extra=header)
+        return self._finish(node, consume, header, whole_rows=False)
 
     def _finish(
         self,
         node: PhysicalNode,
         consume: Callable[[str], None],
         header_extra: list[str],
+        whole_rows: bool,
     ) -> str:
+        self._whole_rows = _takes_whole_rows(node, whole_rows)
         self._emit(node, consume)
         body = self.lines
         header = ["def _pipeline(_src, _env):"]
         helper_names = sorted(set(_RUNTIME) | {
             name for name in self.expr.env if name.startswith(("_c", "_fn", "_ty"))
         })
-        helper_names += [f"_ht{k}" for k in range(len(self._joins))]
+        helper_names += [f"_ht{k}" for k in range(len(self.joins))]
         binds = [
             f"    {name} = _env[{name!r}]" for name in helper_names
         ]
@@ -400,8 +460,13 @@ class _PipelineCompiler:
 
     def _emit(self, node: PhysicalNode, consume: Callable[[str], None]) -> None:
         if isinstance(node, PhysicalScan):
-            row = self.expr.fresh("_row")
-            self.add(f"for {row} in _src:")
+            self.scan = node
+            self.add("for _blk in _src:")
+            self.indent += 1
+            loop_at = len(self.lines)
+            row = self.expr.fresh("_row") if self._whole_rows else _COLUMNS
+            # A column loop is rewritten once the body has named its columns.
+            self.add(f"for {row} in _block_rows(_blk):")
             self.indent += 1
             for conjunct in node.filters:
                 lines, code = self.expr.gen_predicate(conjunct, row)
@@ -410,6 +475,9 @@ class _PipelineCompiler:
                 self.add(f"if not {code}:")
                 self.add("    continue")
             consume(row)
+            self.indent -= 1
+            if row == _COLUMNS:
+                self.lines[loop_at : loop_at + 1] = self._column_loop(node)
             self.indent -= 1
             return
         if isinstance(node, PhysicalFilter):
@@ -451,8 +519,8 @@ class _PipelineCompiler:
     ) -> None:
         """Probe side stays in the pipeline; the hash table arrives prebuilt
         in the environment as ``_ht{k}`` (plus outer-join support vars)."""
-        k = len(self._joins)
-        self._joins.append(node)
+        k = len(self.joins)
+        self.joins.append(node)
         build_right = node.build_right
         build_child, _, probe_child, probe_keys = join_sides(node)
         null_width = len(build_child.output)
@@ -507,9 +575,33 @@ class _PipelineCompiler:
 
         self._emit(probe_child, probe_consume)
 
-    @property
-    def joins(self) -> list[PhysicalHashJoin]:
-        return self._joins
+    def _column_loop(self, scan: PhysicalScan) -> list[str]:
+        """A block's row loop over the scan columns the body reads: one
+        vector iterated directly, several zipped, none a count. A dead
+        column it reads is the constant NULL, as in a row scan."""
+        pad = "    " * self.indent
+        used = sorted(self.expr.columns)
+        dead = [i for i, name in enumerate(scan_column_names(scan)) if name is None]
+        live = [i for i in used if i not in dead]
+        vectors = ", ".join(f"_blk.columns[{i}]" for i in live)
+        if len(live) > 1:
+            vectors = f"zip({vectors})"
+        names = ", ".join(f"{_COLUMNS}{i}" for i in live) or "_"
+        loop = f"for {names} in {vectors or 'range(_blk.count)'}:"
+        nulls = [f"{pad}{_COLUMNS}{i} = None" for i in used if i in dead]
+        return nulls + [pad + loop]
+
+
+def _takes_whole_rows(node: PhysicalNode, whole: bool) -> bool:
+    """Whether a pipeline's scan row reaches a consumer that takes it
+    whole (the collect, per *whole*, or a join probe), not column-wise."""
+    if isinstance(node, PhysicalFilter):
+        return _takes_whole_rows(node.child, whole)
+    if isinstance(node, PhysicalProject):
+        return _takes_whole_rows(node.child, False)
+    if isinstance(node, PhysicalHashJoin):
+        return _takes_whole_rows(join_sides(node)[2], True)
+    return whole
 
 
 def _conjuncts(condition: ast.Expression) -> list[ast.Expression]:
@@ -563,15 +655,18 @@ class CompiledExecutor(VolcanoExecutor):
 
     def _prepare_pipeline(
         self, node: PhysicalNode, aggregate: PhysicalAggregate | None = None
-    ) -> tuple[Callable, list[PhysicalHashJoin], dict]:
+    ) -> tuple[Callable, list[dict], list]:
         """Emit the pipeline's source and bind its code, which the
-        cluster's code cache serves when the same source ran before."""
+        cluster's code cache serves when the same source ran before; then
+        build its joins' hash tables and read its scan. Returns the
+        function, each slice's environment and each slice's batches."""
         start = time.perf_counter()
         compiler = _PipelineCompiler()
         if aggregate is None:
             mode, source = "collect", compiler.collect_source(node)
         else:
-            mode, source = "aggregate", compiler.aggregate_source(node, aggregate)
+            governed = self._spill_state() is not None
+            mode, source = "aggregate", compiler.aggregate_source(node, aggregate, governed)
         code, hit = self._ctx.segment_cache.compile(source, mode)
         if hit:
             self._ctx.stats.segment_cache_hits += 1
@@ -580,16 +675,22 @@ class CompiledExecutor(VolcanoExecutor):
         namespace: dict = {}
         exec(code, namespace)  # noqa: S102
         self._ctx.stats.compile_seconds += time.perf_counter() - start
-        return namespace["_pipeline"], compiler.joins, compiler.expr.env
-
-    def _pipeline_source(self, node: PhysicalNode) -> PhysicalScan:
-        if isinstance(node, PhysicalScan):
-            return node
-        if isinstance(node, (PhysicalFilter, PhysicalProject)):
-            return self._pipeline_source(node.child)
-        if isinstance(node, PhysicalHashJoin):
-            return self._pipeline_source(join_sides(node)[2])
-        raise ExecutionError(f"no pipeline source under {type(node).__name__}")
+        env = compiler.expr.env
+        if aggregate is not None:
+            aggregates = [call.aggregate for call in aggregate.aggregates]
+            env["_agg_create"] = [agg.create for agg in aggregates]
+            env["_agg_acc"] = [agg.accumulate for agg in aggregates]
+        tables = self._build_join_tables(compiler.joins)
+        envs = [
+            dict(env, **{f"_ht{k}": table[s] for k, table in enumerate(tables)})
+            for s in range(self._ctx.slice_count)
+        ]
+        # Every replica of a replicated scan is read, as in every engine;
+        # the scan probes joins[-1] (codegen appends outer joins first).
+        batches = self._batch_slices(compiler.scan, encoded=False)
+        if compiler.joins:
+            batches = self._move_join_input(compiler.joins[-1], batches, build=False)
+        return namespace["_pipeline"], envs, batches
 
     def _build_join_tables(self, joins: list[PhysicalHashJoin]) -> list[list[dict]]:
         """Materialize, move and hash every fused join's build side.
@@ -609,64 +710,30 @@ class CompiledExecutor(VolcanoExecutor):
             per_join_tables.append(tables)
         return per_join_tables
 
-    def _probe_source_rows(
-        self, joins: list[PhysicalHashJoin], scan: PhysicalScan
-    ) -> list:
-        """Scan-side input per slice, raw from the shared ``_scan_slices``
-        (the per-row filters are fused into the generated code). It is
-        the probe side of ``joins[-1]``, the join adjacent to the scan
-        (codegen appends outer joins first), and moves as that join's
-        probe does; every replica of a replicated scan is drained first,
-        as in every engine."""
-        per_slice = self._scan_slices(scan)
-        if not joins:
-            return per_slice
-        if scan.partitioning.kind == "all":
-            per_slice = [list(rows) for rows in per_slice]
-        return self._move_join_input(joins[-1], per_slice, build=False)
-
     def _run_compiled_pipeline(self, node: PhysicalNode) -> list:
-        fn, joins, env = self._prepare_pipeline(node)
-        tables = self._build_join_tables(joins)
-        scan = self._pipeline_source(node)
-        source_rows = self._probe_source_rows(joins, scan)
+        fn, envs, batches = self._prepare_pipeline(node)
         out: list = []
-        for s in range(self._ctx.slice_count):
-            slice_env = dict(env)
-            slice_out: list = []
-            slice_env["_out"] = slice_out
-            for k in range(len(joins)):
-                slice_env[f"_ht{k}"] = tables[k][s]
-            fn(source_rows[s], slice_env)
+        for env, slice_batches in zip(envs, batches):
+            env["_out"] = slice_out = []
+            fn(slice_batches, env)
             out.append(slice_out)
         return out
 
     def _run_compiled_aggregate(self, node: PhysicalAggregate) -> list:
-        fn, joins, env = self._prepare_pipeline(node.child, node)
-        tables = self._build_join_tables(joins)
-        scan = self._pipeline_source(node.child)
-        source_rows = self._probe_source_rows(joins, scan)
+        fn, envs, batches = self._prepare_pipeline(node.child, node)
         aggregates = [call.aggregate for call in node.aggregates]
-        env["_agg_create"] = [agg.create for agg in aggregates]
-        env["_agg_acc"] = [agg.accumulate for agg in aggregates]
-
         # When the aggregate input is replicated (child 'all'), one slice's
         # copy carries every row; running the others would multiply counts.
         child_all = node.child.partitioning.kind == "all"
         partials: list[dict] = []
-        for s in range(self._ctx.slice_count):
+        for s, env in enumerate(envs):
             if child_all and s > 0:
                 partials.append({})
                 continue
-            slice_env = dict(env)
             # A SpillableAggregateStates when governed: the generated
             # code only uses _states.get / _states[_key] = _st, so a
             # flushed key simply opens a fresh generation.
-            states = self._agg_states(node, s, aggregates)
-            slice_env["_states"] = states
-            for k in range(len(joins)):
-                slice_env[f"_ht{k}"] = tables[k][s]
-            fn(source_rows[s], slice_env)
+            env["_states"] = states = self._agg_states(node, s, aggregates)
+            fn(batches[s], env)
             partials.append(self._finish_agg_states(node, s, states))
-
         return self._merge_partials(node, partials, aggregates)

@@ -24,6 +24,7 @@ ANALYZE agree across all three engines.
 from __future__ import annotations
 
 from repro.exec.batch import (
+    BatchList,
     _compile,
     accumulate_batches,
     apply_masks,
@@ -31,8 +32,7 @@ from repro.exec.batch import (
     make_value_kernel,
     project_batch,
 )
-from repro.exec.scan import scan_batches
-from repro.exec.volcano import PerSlice, VolcanoExecutor, scan_column_names
+from repro.exec.volcano import PerSlice, VolcanoExecutor
 from repro.plan.physical import (
     PhysicalAggregate,
     PhysicalFilter,
@@ -40,10 +40,6 @@ from repro.plan.physical import (
     PhysicalProject,
     PhysicalScan,
 )
-
-
-class BatchList(list):
-    """Marker type: a per-slice payload of ColumnBatches (vs row tuples)."""
 
 
 def _batch_rows(batches: "BatchList") -> list:
@@ -79,58 +75,13 @@ class VectorizedExecutor(VolcanoExecutor):
     def _leader_rows(self, node: PhysicalNode, per_slice: PerSlice) -> list:
         return super()._leader_rows(node, self._materialize(node, per_slice))
 
-    def _count_slices(self, per_slice: PerSlice, stat) -> PerSlice:
-        start = self._start_times[stat.step]
-        out: PerSlice = []
-        for rows in per_slice:
-            if isinstance(rows, BatchList):
-                stat.rows += sum(batch.count for batch in rows)
-                out.append(rows)
-            elif isinstance(rows, list):
-                stat.rows += len(rows)
-                out.append(rows)
-            else:
-                out.append(self._counted_iter(rows, stat, start))
-        self._touch(stat, start)
-        return out
-
     # ---- scan --------------------------------------------------------------
 
     def _run_scan(self, node: PhysicalScan) -> PerSlice:
-        if self._ctx.system_rows.get(node.table.name) is not None:
-            # System-table rows live at the leader; the row path handles them.
-            return super()._run_scan(node)
-        stat = self._begin_stat(node)
-        local = self._scan_local(stat)
-        column_names = scan_column_names(node)
         masks = [make_mask_kernel(f) for f in node.filters]
-        out: PerSlice = []
-        for store in self._ctx.slices:
-            slice_batches = BatchList()
-            if store.has_shard(node.table.name):
-                shard = store.shard(node.table.name)
-                for batch in scan_batches(
-                    shard,
-                    column_names,
-                    node.zone_predicates,
-                    self._ctx.snapshot,
-                    stats=local,
-                    charge=store.disk.record_read,
-                    block_cache=self._ctx.block_cache,
-                    encoded=True,
-                    recover=self._ctx.recover,
-                ):
-                    if stat is not None:
-                        # Scan output is counted pre-filter, matching the
-                        # row executors' accounting.
-                        stat.rows += batch.count
-                    batch = apply_masks(batch, masks)
-                    if batch is not None:
-                        slice_batches.append(batch)
-            out.append(slice_batches)
-        if stat is not None:
-            self._touch(stat, self._start_times[stat.step])
-        return out
+        return self._batch_slices(
+            node, encoded=True, keep=lambda batch: apply_masks(batch, masks)
+        )
 
     # ---- filter / project --------------------------------------------------
 

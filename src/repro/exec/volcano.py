@@ -15,9 +15,9 @@ from typing import Iterable
 
 from repro.errors import ExecutionError
 from repro.exec import exchange
-from repro.exec.batch import _compile
+from repro.exec.batch import BatchList, ColumnBatch, _compile
 from repro.exec.context import ExecutionContext, OperatorStat, SpillEvent
-from repro.exec.scan import scan_rows
+from repro.exec.scan import scan_batches, scan_rows
 from repro.exec.spill import (
     SpillableAggregateStates,
     SpillableHashTable,
@@ -117,7 +117,10 @@ class VolcanoExecutor:
         start = self._start_times[stat.step]
         out: PerSlice = []
         for rows in per_slice:
-            if isinstance(rows, list):
+            if isinstance(rows, BatchList):
+                stat.rows += sum(batch.count for batch in rows)
+                out.append(rows)
+            elif isinstance(rows, list):
                 stat.rows += len(rows)
                 out.append(rows)
             else:
@@ -288,42 +291,77 @@ class VolcanoExecutor:
 
     # ---- leaf / pipeline operators ------------------------------------------
 
-    def _scan_slices(self, node: PhysicalScan) -> PerSlice:
-        """Per-slice raw scan iterables: zone-map pruning and MVCC
-        visibility applied, pushed-down filters NOT applied (the volcano
-        path wraps them, the compiled path fuses them). Shared by both
-        executors so scan accounting and the system-table branch live in
-        one place."""
-        stat = self._begin_stat(node)
+    def _system_slices(
+        self, node: PhysicalScan, stat: OperatorStat | None
+    ) -> PerSlice | None:
+        """A system-table scan's rows per slice, counted; None for a user
+        table. System rows live at the leader; slice 0 carries all of
+        them, a valid round-robin placement for downstream exchanges,
+        joins and aggregates."""
         system = self._ctx.system_rows.get(node.table.name)
+        if system is None:
+            return None
+        rows = [tuple(row[i] for i in node.column_indexes) for row in system]
+        if stat is not None:
+            stat.rows += len(rows)
+            self._touch(stat, self._start_times[stat.step])
+        return [rows] + [[] for _ in range(self._ctx.slice_count - 1)]
+
+    def _batch_slices(
+        self, node: PhysicalScan, encoded: bool, keep=lambda batch: batch
+    ) -> PerSlice:
+        """Per-slice :class:`BatchList`s of the cursor's batches, each
+        passed through *keep* (None drops it): the scan of the compiled
+        and vectorized engines. Rows are counted per batch before *keep*,
+        as the row scan counts them before the pushed-down filters;
+        system rows arrive as one batch on slice 0."""
+        stat = self._begin_stat(node)
+        system = self._system_slices(node, stat)
         if system is not None:
-            rows = [
-                tuple(row[i] for i in node.column_indexes) for row in system
-            ]
-            if stat is not None:
-                stat.rows += len(rows)
-                self._touch(stat, self._start_times[stat.step])
-            # System rows live at the leader; slice 0 carries all of
-            # them, a valid round-robin placement for downstream
-            # exchanges, joins and aggregates.
-            return [rows] + [[] for _ in range(self._ctx.slice_count - 1)]
-        column_names = scan_column_names(node)
-        local = self._scan_local(stat)
+            width = len(node.column_indexes)
+            kept = [keep(ColumnBatch.from_rows(rows, width)) if rows else None
+                    for rows in system]
+            return [BatchList([] if batch is None else [batch]) for batch in kept]
+        local, names = self._scan_local(stat), scan_column_names(node)
+        out: PerSlice = []
+        for store in self._ctx.slices:
+            kept = BatchList()
+            out.append(kept)
+            if not store.has_shard(node.table.name):
+                continue
+            for batch in scan_batches(
+                store.shard(node.table.name), names, node.zone_predicates,
+                self._ctx.snapshot, stats=local, charge=store.disk.record_read,
+                block_cache=self._ctx.block_cache, encoded=encoded,
+                recover=self._ctx.recover,
+            ):
+                if stat is not None:
+                    stat.rows += batch.count
+                batch = keep(batch)
+                if batch is not None:
+                    kept.append(batch)
+        if stat is not None:
+            self._touch(stat, self._start_times[stat.step])
+        return out
+
+    def _scan_slices(self, node: PhysicalScan) -> PerSlice:
+        """Per-slice raw row iterables: zone-map pruning and MVCC
+        visibility applied, pushed-down filters NOT applied (the caller
+        wraps them): volcano's scan."""
+        stat = self._begin_stat(node)
+        system = self._system_slices(node, stat)
+        if system is not None:
+            return system
+        local, names = self._scan_local(stat), scan_column_names(node)
         out: PerSlice = []
         for store in self._ctx.slices:
             if not store.has_shard(node.table.name):
                 out.append([])
                 continue
-            shard = store.shard(node.table.name)
             rows: Iterable[tuple] = scan_rows(
-                shard,
-                column_names,
-                node.zone_predicates,
-                self._ctx.snapshot,
-                stats=local,
-                charge=store.disk.record_read,
-                block_cache=self._ctx.block_cache,
-                recover=self._ctx.recover,
+                store.shard(node.table.name), names, node.zone_predicates,
+                self._ctx.snapshot, stats=local, charge=store.disk.record_read,
+                block_cache=self._ctx.block_cache, recover=self._ctx.recover,
             )
             if stat is not None:
                 rows = self._counted_iter(

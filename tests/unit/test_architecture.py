@@ -11,7 +11,8 @@ spills on the leader. A recoverable fault is repaired at the read that met
 it, through one helper; no statement-level retry comes back, and spill IO
 keeps no private retry loop. The Volcano executor alone moves join inputs
 and merges partial aggregates: the other executors override per-slice
-evaluation only.
+evaluation only. Compiled pipelines loop over the cursor's blocks, not
+its rows, and fold COUNT / SUM / MIN / MAX inline.
 
 Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
@@ -85,6 +86,31 @@ def test_leader_scans_read_through_the_decode_cache():
         if "block_cache" not in {kw.arg for kw in node.keywords}
     ]
     assert uncached == []
+
+
+def test_compiled_pipelines_loop_over_blocks_and_fold_inline():
+    """The compiled executor reads the cursor's batches, never the row
+    adapter or the per-row counting generator, and its generated code
+    folds COUNT / SUM / MIN / MAX inline instead of calling accumulate."""
+    source = (Path(repro.__file__).parent / "exec" / "codegen.py").read_text()
+    assert "scan_rows" not in source
+    assert "_counted_iter" not in source
+    cluster = repro.Cluster(node_count=1, slices_per_node=2, block_capacity=4)
+    s = cluster.connect(executor="compiled")
+    s.execute("CREATE TABLE f (region varchar(8), qty int, amt float)")
+    s.execute(
+        "INSERT INTO f VALUES ('a', 1, 1.5), ('b', 2, NULL), ('a', NULL, -0.5)"
+    )
+    s.execute(
+        "SELECT region, count(*), sum(qty), min(amt), max(amt) FROM f "
+        "GROUP BY region"
+    )
+    generated = [
+        text
+        for text, (_, mode, _) in cluster.segment_cache._entries.items()
+        if mode == "aggregate"
+    ]
+    assert generated and all("_agg_acc[" not in text for text in generated)
 
 
 def test_exec_compiles_only_through_the_code_cache():

@@ -3,8 +3,8 @@
 The compiled executor emits each pipeline's source on every run and asks
 the cluster's :class:`~repro.exec.segmentcache.CodeCache` only for the
 ``compile()``, so two plans share code exactly when they generate the
-same code. These tests pin what that buys — equal pipelines share
-(across tables and sessions), different literals or column types don't,
+same code. These tests pin what that buys — equal templates share
+(across tables, sessions and literal values), different column types don't,
 reuse stays correct (join pipelines get hash tables built per query) —
 and the vectorized executor's batch kernels, which compile through the
 same class and form the second population of svl_compile_cache.
@@ -65,11 +65,16 @@ class TestPipelineReuse:
         assert r1.rows == [(sum(i * 2 for i in range(11, 48)),)]
         assert r2.rows == [(sum(i * 5 for i in range(11, 48)),)]
 
-    def test_different_literals_do_not_share(self, cluster):
+    def test_different_literals_share_code(self, cluster):
+        """Literals enter through the environment, so code is keyed by
+        the template: a new constant reuses the compiled pipeline, and
+        each text still gets its own rows."""
         s = _fresh_session(cluster)
-        s.execute("SELECT sum(v) FROM t1 WHERE k > 10")
+        first = s.execute("SELECT sum(v) FROM t1 WHERE k > 10")
         other = s.execute("SELECT sum(v) FROM t1 WHERE k > 20")
-        assert other.stats.segment_cache_misses > 0
+        assert other.stats.segment_cache_misses == 0
+        assert other.stats.segment_cache_hits > 0
+        assert first.rows == [(sum(i * 2 for i in range(11, 48)),)]
         assert other.rows == [(sum(i * 2 for i in range(21, 48)),)]
 
     def test_join_pipeline_reuses_with_fresh_hash_tables(self, cluster):

@@ -34,12 +34,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONTRACT = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: Per-layer metrics no end-to-end metric isolates, by the traced workload
-#: that measures them: decode, compile and the executors, the write path
-#: and code reuse, and the per-statement envelope.
+#: that measures them: decode, compile, code reuse and the executors, the
+#: write path, and the per-statement envelope. A metric traced in more
+#: than one workload is recorded as ``<workload>.<metric>``.
 LAYERS = {
     "scan_heavy": (
         "storage.decode_cache_hit_ratio",
         "storage.bytes_read_per_stmt",
+        "exec.segment_cache_hit_ratio",
+        "exec.execute_us_p50",
         "exec.ms_per_stmt.compiled",
         "exec.ms_per_stmt.vectorized",
         "exec.ms_per_stmt.parallel",
@@ -154,7 +157,10 @@ def main(argv=None) -> int:
         layers = point["per_layer"][side] = {}
         for workload, names in LAYERS.items():
             traced = run(path, workload, args.seed, trace=1)["metrics"]
-            layers.update({name: sig5(traced[name]["value"]) for name in names})
+            for name in names:
+                shared = sum(name in others for others in LAYERS.values()) > 1
+                key = f"{workload}.{name}" if shared else name
+                layers[key] = sig5(traced[name]["value"])
     for workload, by_side in runs.items():
         entry = point["workloads"][workload] = {
             "failed": {

@@ -1,4 +1,4 @@
-"""Source-line budget for ``src/repro`` (ROADMAP item 5).
+"""Source-line budget for ``src/repro`` (ROADMAP item 7).
 
     python tools/loc_budget.py            # check; exit 1 when a package outgrew its budget
     python tools/loc_budget.py --update   # rewrite the budget from the tree
