@@ -4,12 +4,12 @@ Redshift serves repeated queries straight from a leader-side result
 cache: same SQL, same plan, unchanged inputs — the stored rows come back
 without touching the compute fleet (§2.1's "sub-second dashboard"
 behaviour). This ablation measures the three states across all four
-executors: cold (first execution, result stored), warm (epoch-validated
+executors: cold (first execution, result stored), warm (version-validated
 hit, execution skipped), and invalidated (a write moved the scanned
-table's epoch, so the next read recomputes).
+table's version, so the next read recomputes).
 
 The acceptance bar is a >= 10x warm-over-cold speedup per executor —
-a hit is a dictionary lookup plus epoch comparisons, so anything less
+a hit is a dictionary lookup plus version comparisons, so anything less
 means the cache is doing real work it shouldn't.
 """
 
@@ -58,9 +58,8 @@ def test_a12_cold_warm_invalidated(benchmark, reporter, bench_record):
     session = None
     for executor in EXECUTORS:
         session = _connect(cluster, executor)
-        # One untimed query first: fork/thread pools register their
-        # slices (a wildcard epoch bump) and codegen caches fill, so the
-        # timed runs isolate the result cache itself.
+        # One untimed query first: worker pools fork and codegen caches
+        # fill, so the timed runs isolate the result cache itself.
         session.execute("SELECT count(*) FROM f")
 
         t0 = time.perf_counter()

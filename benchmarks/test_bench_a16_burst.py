@@ -10,10 +10,10 @@ concurrency scaling enabled — and compares what the gate did.
 The acceptance bar is the tentpole's: with burst routing on, the fleet
 suffers at most **half** the WLM sheds of the burst-off run, and every
 comparable query pair returns bit-identical results (burst clusters
-serve from a snapshot whose per-table epochs still match the live
+serve from a snapshot whose table versions still match the live
 tables, so routed reads cannot observe different data).
 
-The fleet is read-only (dashboards + ad-hoc, no ETL): epochs never
+The fleet is read-only (dashboards + ad-hoc, no ETL): versions never
 move, so every routed query passes the freshness check, and both
 replays are deterministic enough to diff fingerprint-by-fingerprint.
 """
@@ -66,7 +66,7 @@ def build():
     )
     session.execute(f"COPY {TABLE.name} FROM 'bench://burst'")
     # The snapshot the burst cluster will restore from; taken after the
-    # load so its captured table epochs match the live ones for the
+    # load so its captured table versions match the live ones for the
     # whole (read-only) replay.
     svc.snapshot_cluster("a16-main", kind="system")
     return env, svc, managed

@@ -12,7 +12,6 @@ from repro.engine.cluster import Cluster
 from repro.errors import S3TransientError, SnapshotNotFoundError
 from repro.faults.retry import RetryPolicy, with_backoff
 from repro.security.keyhierarchy import ClusterKeyHierarchy
-from repro.storage import epoch
 from repro.util.rng import DeterministicRng
 
 _snapshot_ids = itertools.count(1)
@@ -31,9 +30,9 @@ class SnapshotRecord:
     duration_s: float
     total_blocks: int
     total_bytes: int
-    #: table name -> mutation epoch at snapshot time (after seal-all),
+    #: table name -> table version at snapshot time (after seal-all),
     #: consumed by burst-cluster freshness routing.
-    table_epochs: dict[str, int] = field(default_factory=dict)
+    table_versions: dict[str, int] = field(default_factory=dict)
 
 
 class BackupManager:
@@ -98,11 +97,11 @@ class BackupManager:
         if kind not in ("system", "user"):
             raise ValueError(f"snapshot kind must be system or user, got {kind!r}")
         self._cluster_seal_all()
-        # Capture per-table mutation epochs *after* seal-all (sealing
-        # open tails bumps them); a burst restore of this snapshot is
-        # fresh for a table exactly while its live epoch still matches.
-        table_epochs = {
-            name: epoch.table_epoch(name)
+        # Capture table versions *after* seal-all (sealing open tails
+        # moves them); a burst restore of this snapshot is fresh for a
+        # table exactly while its live version still matches.
+        table_versions = {
+            name: self._cluster.table_version(name)
             for name in self._cluster.catalog.table_names()
         }
         snapshot_id = label or f"snap-{next(_snapshot_ids):06d}"
@@ -117,10 +116,11 @@ class BackupManager:
                 store = sl.storage
                 slice_entry: dict = {"slice_id": store.slice_id, "tables": {}}
                 for table_name, shard in store.shards.items():
+                    version = shard.version
                     columns: dict[str, list[dict]] = {}
-                    for column_name, chain in shard.chains.items():
+                    for column_name in shard.column_names:
                         metas = []
-                        for block in chain.blocks:
+                        for block in version.columns[column_name][0]:
                             key = f"blocks/{block.block_id}"
                             total_blocks += 1
                             total_bytes += block.encoded_bytes
@@ -154,13 +154,13 @@ class BackupManager:
                         columns[column_name] = metas
                     dead = [
                         offset
-                        for offset, xid in enumerate(shard.delete_xids)
+                        for offset, xid in enumerate(version.delete_xids)
                         if xid is not None
                         and self._cluster.transactions.is_committed(xid)
                     ]
                     slice_entry["tables"][table_name] = {
                         "columns": columns,
-                        "row_count": shard.row_count,
+                        "row_count": version.row_count,
                         "dead": dead,
                         "codecs": {
                             name: chain.codec.name
@@ -184,7 +184,7 @@ class BackupManager:
                 protocol=4,
             ),
             "slices": manifest_slices,
-            "table_epochs": table_epochs,
+            "table_versions": table_versions,
         }
         manifest_key = f"manifests/{snapshot_id}"
         manifest_bytes = pickle.dumps(manifest, protocol=4)
@@ -213,7 +213,7 @@ class BackupManager:
             duration_s=duration,
             total_blocks=total_blocks,
             total_bytes=total_bytes,
-            table_epochs=table_epochs,
+            table_versions=table_versions,
         )
         self.snapshots.append(record)
         if kind == "system":

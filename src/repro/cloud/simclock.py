@@ -30,7 +30,7 @@ class ScheduledEvent:
 
 
 class SimClock:
-    """Simulated seconds since the simulation epoch."""
+    """Simulated seconds since the simulation started."""
 
     def __init__(self, start: float = 0.0):
         self._now = start

@@ -427,7 +427,7 @@ class RedshiftService:
         Restores the latest snapshot (taking one first if none exists)
         onto freshly provisioned instances and returns a
         :class:`repro.server.burst.BurstCluster` carrying the snapshot's
-        captured table epochs — the router's freshness oracle. Burst
+        captured table versions — the router's freshness oracle. Burst
         clusters deliberately get **no** recovery coordinator,
         replication, or backups: they are disposable; a fault mid-query
         propagates to the router, which falls back to main and retires
@@ -501,7 +501,7 @@ class RedshiftService:
                 cluster_id=burst_id,
                 cluster=engine,
                 snapshot_id=snapshot_id,
-                snapshot_epochs=dict(result.table_epochs),
+                snapshot_versions=dict(result.table_versions),
                 provisioned_at=clock.now,
             ),
             result,

@@ -103,7 +103,8 @@ class Cluster:
             for i in range(node_count)
         ]
         self.catalog = Catalog()
-        self.transactions = TransactionManager()
+        self._stores = self.slice_stores
+        self.transactions = TransactionManager(self._touch_tables)
         self.interconnect = Interconnect()
         from repro.engine.workload import WorkloadLog
 
@@ -124,7 +125,7 @@ class Cluster:
         #: Leader-side query result cache: repeat SELECTs over unchanged
         #: tables return their cached rows without execution (see
         #: stv_result_cache; per-session SET enable_result_cache).
-        self.result_cache = QueryResultCache()
+        self.result_cache = QueryResultCache(self.table_version)
         from repro.engine.session import PlanMemo
 
         #: Client SELECT plans Session.execute reuses (DESIGN.md §9).
@@ -255,6 +256,14 @@ class Cluster:
 
     # ---- storage lifecycle ------------------------------------------------------
 
+    def table_version(self, table_name: str) -> int:
+        """The largest version number among *table_name*'s shards (0: none)."""
+        return max(store.version_number(table_name) for store in self._stores)
+
+    def _touch_tables(self, table_names) -> None:
+        for store in self._stores:
+            store.touch(table_names)
+
     def create_table_storage(self, table: TableInfo) -> None:
         """Create the per-slice shards for a new table."""
         codecs = {
@@ -304,7 +313,7 @@ class Cluster:
         """
         # The insert funnel: every INSERT/COPY/CTAS/UPDATE lands here, so
         # this is where the writing transaction learns it touched the
-        # table (commit/rollback re-bump its epoch for the result cache).
+        # table (commit/rollback move its version for the result cache).
         self.transactions.record_write(xid, table.name)
         dist = table.distribution
         n = self.slice_count

@@ -42,14 +42,14 @@ def table_health(cluster: Cluster, table_name: str) -> TableHealth:
     for store in cluster.slice_stores:
         if not store.has_shard(table_name):
             continue
-        shard = store.shard(table_name)
-        total += shard.row_count
+        version = store.shard(table_name).version
+        total += version.row_count
         dead += sum(
             1
-            for xid in shard.delete_xids
+            for xid in version.delete_xids
             if xid is not None and cluster.transactions.is_committed(xid)
         )
-        unsorted += max(0, shard.row_count - shard.sorted_prefix)
+        unsorted += max(0, version.row_count - version.sorted_prefix)
     return TableHealth(
         table_name=table_name,
         total_rows=total,

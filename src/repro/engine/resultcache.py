@@ -15,13 +15,13 @@ entry stores the finished row set of one SELECT keyed on
   executor would recompute; parallel float aggregation may legally
   re-associate).
 
-Validity is epoch-based, not push-based: the entry records the
-per-table mutation epoch (:mod:`repro.storage.epoch`) of every user
-table the plan scans, captured *before* execution started, and a lookup
-revalidates them. Any mutation path — INSERT/DELETE/VACUUM, scrub
-repair, restore, ``Block.corrupt()``, or a writing transaction's
-commit/rollback — moves an epoch and the entry dies lazily on its next
-lookup. Sessions bypass the cache entirely inside explicit transactions
+Validity is version-based, not push-based: the entry records the
+version (``Cluster.table_version``) of every user table the plan scans,
+captured *before* execution started, and a lookup revalidates them. Any
+mutation path — INSERT/DELETE/VACUUM, scrub repair, failover,
+``Block.corrupt()``, or a writing transaction's commit/rollback — moves
+a version and the entry dies lazily on its next lookup. Sessions bypass
+the cache entirely inside explicit transactions
 and for system-table scans (see ``Session._select_on``).
 
 Concurrency: every cache operation takes the instance lock (the same
@@ -45,8 +45,7 @@ import re
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-from repro.storage import epoch
+from typing import Callable
 
 #: Default number of cached result sets kept resident.
 DEFAULT_CAPACITY = 256
@@ -80,16 +79,17 @@ class CacheEntry:
     executor: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
-    #: User tables the plan scanned, with the epoch each had before the
+    #: User tables the plan scanned, with the version each had before the
     #: cached execution began. The entry is valid while none has moved.
     tables: tuple[str, ...]
-    epochs: tuple[int, ...]
+    versions: tuple[int, ...]
+    table_version: Callable[[str], int] = field(repr=False, compare=False)
     hits: int = field(default=0)
 
     def valid(self) -> bool:
         return all(
-            epoch.table_epoch(table) == stored
-            for table, stored in zip(self.tables, self.epochs)
+            self.table_version(table) == stored
+            for table, stored in zip(self.tables, self.versions)
         )
 
 
@@ -111,6 +111,7 @@ class QueryResultCache:
 
     def __init__(
         self,
+        table_version: Callable[[str], int],
         capacity: int = DEFAULT_CAPACITY,
         max_rows: int = DEFAULT_MAX_ROWS,
     ):
@@ -118,6 +119,7 @@ class QueryResultCache:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.max_rows = max_rows
+        self._table_version = table_version
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
         #: key -> in-flight execution concurrent sessions coalesce on.
@@ -155,8 +157,8 @@ class QueryResultCache:
     def lookup(self, key: str) -> CacheEntry | None:
         """The valid entry under *key*, or None.
 
-        A present-but-stale entry (some table epoch moved) is dropped
-        here — epoch invalidation is lazy — and counted as both an
+        A present-but-stale entry (some table version moved) is dropped
+        here — invalidation is lazy — and counted as both an
         invalidation and a miss.
         """
         with self._lock:
@@ -219,13 +221,13 @@ class QueryResultCache:
         columns: list[str],
         rows: list[tuple],
         tables: tuple[str, ...],
-        epochs: tuple[int, ...],
+        versions: tuple[int, ...],
     ) -> None:
         """Insert one finished result set.
 
-        *epochs* must be the referenced tables' epochs captured before
-        the execution that produced *rows* began: "valid" then means "no
-        mutation since before we read".
+        *versions* must be the referenced tables' versions captured
+        before the execution that produced *rows* began: "valid" then
+        means "no mutation since before we read".
         """
         if len(rows) > self.max_rows:
             return
@@ -236,7 +238,8 @@ class QueryResultCache:
             columns=tuple(columns),
             rows=tuple(rows),
             tables=tables,
-            epochs=epochs,
+            versions=versions,
+            table_version=self._table_version,
         )
         with self._lock:
             self._entries[key] = entry

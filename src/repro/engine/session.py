@@ -61,7 +61,6 @@ from repro.sql.expressions import compile_expression
 from repro.sql.hll import HyperLogLog
 from repro.sql.parser import parse_statement, parse_statements
 from repro.sql.subqueries import expand_in_expression, expand_subqueries
-from repro.storage import epoch
 from repro.util.fingerprint import result_fingerprint
 
 
@@ -602,8 +601,8 @@ class Session:
         # Result cache: only autocommit SELECTs over user tables are
         # eligible. Inside an explicit transaction this session may read
         # its own uncommitted writes — rows no other query should be
-        # served — and system-table rows have no mutation epochs to
-        # validate against (such a plan has no key).
+        # served — and system-table rows have no versions to validate
+        # against (such a plan has no key).
         result_cache = cluster.result_cache
         cache_key = planned.cache_key
         if not self._enable_result_cache or self._xid is not None:
@@ -639,17 +638,16 @@ class Session:
         xid: int,
         cache_key: str | None,
     ) -> QueryResult:
-        # A repair mid-statement moves epochs past this: the entry expires.
-        entry_epochs = tuple(
-            epoch.table_epoch(table) for table in planned.scan_tables
-        )
+        # A repair mid-statement moves versions past this: the entry expires.
+        entry_versions = tuple(map(cluster.table_version, planned.scan_tables))
         ctx = self._context(cluster, xid, planned.executor)
         if cache_key is not None:
             # Cached (autocommit) SELECTs must freeze their snapshot
-            # AFTER the epoch capture above: a commit between the
+            # AFTER the version capture above: a commit between the
             # transaction-start snapshot and the capture would be
-            # invisible to the result yet already in the epochs,
-            # storing a stale entry that validates forever.
+            # invisible to the result yet already in the versions,
+            # storing a stale entry that validates forever. Scans bind
+            # their shard versions later still.
             ctx.snapshot = cluster.transactions.statement_snapshot(xid)
         ctx.system_rows = planned.system_rows
         ctx.stats.executor = planned.executor
@@ -677,7 +675,7 @@ class Session:
                 planned.columns,
                 rows,
                 planned.scan_tables,
-                entry_epochs,
+                entry_versions,
             )
             ctx.stats.result_cache_status = "miss"
         return QueryResult(
@@ -971,7 +969,7 @@ class Session:
     def _delete(self, statement: ast.DeleteStatement, xid: int) -> QueryResult:
         table = self._require_user_table(statement.table, "DELETE")
         # DELETE never routes through distribute_rows, so register the
-        # write here (commit/rollback re-bump the table's epoch).
+        # write here (commit/rollback move the table's version).
         self._cluster.transactions.record_write(xid, table.name)
         # A constant select list: only the predicate's columns are read.
         matched, stats = self._delete_matching(

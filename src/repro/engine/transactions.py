@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.errors import SerializationError, TransactionError
-from repro.storage import epoch
 
 #: xid used for data created outside any user transaction (bootstrap).
 BOOTSTRAP_XID = 0
@@ -63,8 +62,8 @@ class _Transaction:
     xmin: int
     deleted_rows: set[tuple[str, str, int]] = field(default_factory=set)
     #: Tables this transaction wrote (insert/delete/vacuum funnels call
-    #: record_write). Their epochs bump again when the outcome resolves —
-    #: commit makes the rows visible without touching storage, which a
+    #: record_write). Their versions move again when the outcome resolves
+    #: — commit makes the rows visible without touching storage, which a
     #: result-cache entry stored mid-flight would otherwise survive.
     written_tables: set[str] = field(default_factory=set)
 
@@ -76,9 +75,11 @@ class TransactionManager:
     begin/commit from their own threads, and the lock serializes commit
     itself, which is what makes first-committer-wins conflict detection
     sound under concurrency. A snapshot costs O(active transactions).
+    *touch_tables* moves the versions of the tables it is given.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, touch_tables=lambda tables: None) -> None:
+        self._touch_tables = touch_tables
         self._next_xid = 1
         self._active: dict[int, _Transaction] = {}
         self._aborted: set[int] = set()
@@ -116,17 +117,11 @@ class TransactionManager:
             self._require(xid).deleted_rows.add((table, slice_id, offset))
 
     def record_write(self, xid: int, table: str) -> None:
-        """Note that *xid* wrote *table*, so the table's mutation epoch
-        bumps again when the transaction commits or rolls back.
-
-        The write paths already bump the epoch at write time (forked
-        worker pools must not scan half-written storage), but visibility
-        changes at *resolution* time: a result-cache entry stored while
-        the writer was in flight was computed against a snapshot that
-        excluded its rows, and only the commit-time bump invalidates it.
-        Rollback bumps too — spurious but safe. Writes outside any live
-        transaction (bootstrap loads) are ignored.
-        """
+        """Note that *xid* wrote *table*, so the table's version moves
+        again when the transaction commits or rolls back: visibility
+        changes then, and a result cached while the writer was in flight
+        must die. (Rollback moves it too — spurious but safe.) Writes
+        outside any live transaction (bootstrap loads) are ignored."""
         with self._lock:
             txn = self._active.get(xid)
             if txn is not None:
@@ -142,8 +137,7 @@ class TransactionManager:
                     txn.deleted_rows
                 ):
                     self._aborted.add(xid)
-                    for table in txn.written_tables:
-                        epoch.bump(table)
+                    self._touch_tables(txn.written_tables)
                     raise SerializationError(
                         f"transaction {xid} conflicts with concurrent delete of "
                         f"row {min(rows & txn.deleted_rows)} by transaction {winner}"
@@ -157,11 +151,9 @@ class TransactionManager:
             self._committed_deletes = [
                 entry for entry in self._committed_deletes if entry[0] >= horizon
             ]
-            written = txn.written_tables
-        # Epoch bumps after the commit point: a reader that sees the new
-        # epoch re-reads and finds the rows already visible.
-        for table in written:
-            epoch.bump(table)
+        # Versions move after the commit point: a reader that sees the new
+        # number re-reads and finds the rows already visible.
+        self._touch_tables(txn.written_tables)
 
     def rollback(self, xid: int) -> None:
         """Abort: the xid joins the aborted set, so its effects are
@@ -170,22 +162,20 @@ class TransactionManager:
             txn = self._require(xid)
             del self._active[xid]
             self._aborted.add(xid)
-            written = txn.written_tables
-        for table in written:
-            epoch.bump(table)
+        self._touch_tables(txn.written_tables)
 
     def statement_snapshot(self, xid: int) -> Snapshot:
         """A snapshot of *xid* against everything committed *right now*.
 
         Autocommit cached SELECTs use this instead of :meth:`snapshot`:
-        the result cache validates entries by table epoch, and epochs
+        the result cache validates entries by table version, and versions
         are captured when the statement starts executing — after
         ``begin()`` froze the transaction-start snapshot. A commit
         landing in that gap would be invisible to the frozen snapshot
-        yet already counted in the captured epochs, leaving a stale
+        yet already counted in the captured versions, leaving a stale
         entry that validates forever. Taking this snapshot after the
-        epoch capture closes the gap: any commit the statement cannot
-        see must bump its tables' epochs later, killing the entry.
+        version capture closes the gap: any commit the statement cannot
+        see must move its tables' versions later, killing the entry.
         """
         with self._lock:
             self._require(xid)

@@ -49,7 +49,6 @@ from dataclasses import replace
 from functools import partial
 
 from repro.exec.context import SliceExec
-from repro.exec.scan import shard_block_count
 from repro.exec.vectorized import VectorizedExecutor
 from repro.exec.volcano import PerSlice, merge_states, scan_column_names
 from repro.exec.workers import MorselResult, MorselTask, PipelineSpec, run_morsel
@@ -156,14 +155,14 @@ class ParallelExecutor(VectorizedExecutor):
                 (call.aggregate, call.argument) for call in aggregate.aggregates
             ),
         )
-        tasks = self._morselize(spec)
+        tasks, versions = self._morselize(spec)
         workers, mode = self._effective()
         # Start the fused nodes' clocks before dispatch so their elapsed
         # spans the worker work (the aggregate's clock already runs — _run
         # begins it before _run_node).
         for fused in (*chain, scan):
             self._begin_stat(fused)
-        results = self._dispatch(tasks, workers, mode)
+        results = self._dispatch(tasks, versions, workers, mode)
 
         # Replay worker disk reads through the leader's disks in morsel
         # order: identical accounting (and injected media-fault
@@ -178,8 +177,10 @@ class ParallelExecutor(VectorizedExecutor):
         )
         return self._assemble_partials(aggregate, tasks, results)
 
-    def _morselize(self, spec: PipelineSpec) -> list[MorselTask]:
-        """Split every shard of the scanned table into block-range tasks.
+    def _morselize(self, spec: PipelineSpec) -> tuple[list[MorselTask], dict]:
+        """Split the shard version bound here of every shard of the
+        scanned table into block-range tasks; returns them and the bound
+        versions by slice index.
 
         All slices are scanned even for DISTSTYLE ALL tables — the serial
         engines drain every replica too (and charge every disk), and the
@@ -187,40 +188,42 @@ class ParallelExecutor(VectorizedExecutor):
         ``_one_copy``.
         """
         tasks: list[MorselTask] = []
+        versions = {}
         registry_id = self._cfg.registry_id if self._cfg is not None else 0
         for index, store in enumerate(self._ctx.slices):
             if not store.has_shard(spec.table):
                 continue
-            blocks = shard_block_count(store.shard(spec.table))
+            version = versions[index] = store.shard(spec.table).version
+            blocks = len(version.lead_blocks)
             starts = list(range(0, blocks, MORSEL_BLOCKS)) or [0]
-            for j, start in enumerate(starts):
-                last = j == len(starts) - 1
+            for start in starts:
                 tasks.append(
                     MorselTask(
                         registry_id=registry_id,
                         slice_index=index,
                         slice_id=store.slice_id,
+                        version=version.number,
                         block_start=start,
-                        # Open-ended: a concurrent writer may seal the tail
-                        # into new blocks before the morsel is scanned.
-                        block_end=None if last else start + MORSEL_BLOCKS,
-                        include_tail=last,
+                        block_end=min(start + MORSEL_BLOCKS, blocks),
+                        include_tail=start == starts[-1],
                         pipeline=spec,
                         snapshot=self._ctx.snapshot,
                     )
                 )
-        return tasks
+        return tasks, versions
 
     def _dispatch(
-        self, tasks: list[MorselTask], workers: int, mode: str
+        self, tasks: list[MorselTask], versions: dict, workers: int, mode: str
     ) -> list[MorselResult]:
         """Run tasks on the pool; results come back in task (morsel) order.
 
         Worker-crash faults are drawn on the leader per task, in morsel
         order, from the injector's "worker" stream — deterministic no
         matter how the OS schedules the pool. A crashed or pool-broken
-        morsel is re-executed serially on the leader; so is one the pool
-        never took, and one whose read met a fault, once it is repaired.
+        morsel is re-executed serially on the leader against the bound
+        *versions*; so is one the pool never took, one a worker handed
+        back (its shard was at another version), and one whose read met
+        a fault, once it is repaired.
         """
         injector = self._ctx.fault_injector
         prepared = []
@@ -232,9 +235,9 @@ class ParallelExecutor(VectorizedExecutor):
         futures: list = []
         if mode != "serial":
             manager = self._cfg.pool_manager
-            scanned = {task.pipeline.table for task in prepared}
+            newest = max((v.number for v in versions.values()), default=0)
             try:
-                pool = manager.pool(workers, mode, tables=scanned)
+                pool = manager.pool(workers, mode, newest)
                 for task in prepared:
                     futures.append(pool.submit(task))
             except (BrokenProcessPool, OSError):
@@ -246,20 +249,24 @@ class ParallelExecutor(VectorizedExecutor):
                 pass
         results: list[MorselResult] = []
         for i, task in enumerate(prepared):
-            inline = partial(run_morsel, task, self._ctx.slices)
+            version = versions[task.slice_index]
+            inline = partial(run_morsel, task, self._ctx.slices, version)
             try:
                 # Serial mode, or a morsel the pool never took, runs inline.
                 first = futures[i].result if i < len(futures) else inline
-                results.append(self._ctx.recover(first, inline))
+                result = self._ctx.recover(first, inline)
+                if result is None:
+                    result = self._ctx.recover(inline)
             except WorkerCrashError:
-                results.append(self._recover(i, task))
+                result = self._recover(i, task, version)
             except BrokenProcessPool:
                 manager.invalidate()
-                results.append(self._recover(i, task, detail="pool broken"))
+                result = self._recover(i, task, version, detail="pool broken")
+            results.append(result)
         return results
 
     def _recover(
-        self, index: int, task: MorselTask, detail: str = "injected crash"
+        self, index: int, task: MorselTask, version, detail="injected crash"
     ) -> MorselResult:
         """Serial re-execution of a morsel whose worker died."""
         injector = self._ctx.fault_injector
@@ -275,7 +282,7 @@ class ParallelExecutor(VectorizedExecutor):
         entry = self._slice_entry(task)
         entry.crashes += 1
         task = replace(task, crash=False)
-        return self._ctx.recover(partial(run_morsel, task, self._ctx.slices))
+        return self._ctx.recover(partial(run_morsel, task, self._ctx.slices, version))
 
     # ---- result assembly ---------------------------------------------------
 

@@ -1,7 +1,10 @@
 """The block cursor: the one way executors reach shard storage.
 
-All chains of a shard are appended in lockstep with the same block
-capacity, so block *k* covers the same row offsets in every column.
+A scan binds one published :class:`~repro.storage.slicestore.ShardVersion`
+and reads only it, with no lock: writers publishing the next version
+never move what a running scan sees. All chains of a shard are appended
+in lockstep with the same block capacity, so block *k* covers the same
+row offsets in every column.
 :func:`scan_blocks` therefore consults the zone maps of the predicate
 columns per block, and either skips the block in every needed chain or
 reads it from every needed chain — row alignment across columns is
@@ -27,7 +30,7 @@ from repro.exec.encoded import (
     supports_block,
 )
 from repro.storage.chain import ScanStats
-from repro.storage.slicestore import TableShard
+from repro.storage.slicestore import ShardVersion, TableShard
 
 #: Pseudo-column name: its vector is each row's offset in the shard — the
 #: one thing DML needs (*which* row) that no chain stores.
@@ -40,6 +43,7 @@ def scan_blocks(
     zone_predicates: Sequence[tuple[int, str, object]],
     snapshot: Snapshot,
     *,
+    version: ShardVersion | None = None,
     block_start: int = 0,
     block_end: int | None = None,
     include_tail: bool = True,
@@ -66,11 +70,14 @@ def scan_blocks(
     matches. Skipping is conservative — surviving rows are re-checked by
     the caller's filters. Predicate columns must be live.
 
-    The scan covers sealed blocks [*block_start*, *block_end*) and, with
-    *include_tail*, the open tail buffers (rows loaded but not yet
-    sealed). Concatenating the ranges of a partition of the shard's
-    blocks (exactly one range carrying the tail) reproduces the full scan
-    row-for-row and stat-for-stat — the parallel executor's morsels.
+    The scan reads *version*, by default the shard's version when the
+    scan starts; callers start it after taking the statement's snapshot,
+    so every commit the snapshot sees is in it. It covers sealed blocks
+    [*block_start*, *block_end*) and, with *include_tail*, the tail rows
+    (loaded but not yet sealed). Concatenating the ranges of a partition
+    of the version's blocks (exactly one range carrying the tail)
+    reproduces the full scan row-for-row and stat-for-stat — the
+    parallel executor's morsels.
 
     *stats* count logical row blocks once each (``blocks_total`` /
     ``blocks_read`` / ``blocks_skipped``); per-column chain-block reads
@@ -94,36 +101,36 @@ def scan_blocks(
     width = len(column_names)
     if width == 0:
         return
-    xids = (shard.insert_xids, shard.delete_xids)
-    chains = {
-        position: shard.chain(name)
+    if version is None:
+        version = shard.version
+    xids = (version.insert_xids, version.delete_xids)
+    live = {
+        position: name
         for position, name in enumerate(column_names)
         if name is not None and name != ROW_OFFSET
     }
     offset_slots = [i for i, name in enumerate(column_names) if name == ROW_OFFSET]
-    if not chains:
+    lead = version.lead_blocks
+    if block_end is None:
+        block_end = len(lead)
+    offset = sum(block.count for block in lead[:block_start])
+    if not live:
         # Pure row-count scans (e.g. unfiltered COUNT(*) / DELETE): no
         # chain IO, one item sized by visibility metadata alone.
-        counts = [block.count for block in _any_chain_blocks(shard)]
-        start = sum(counts[:block_start])
         offsets = chain(
-            range(start, start + sum(counts[block_start:block_end])),
-            range(sum(counts), shard.row_count) if include_tail else (),
+            range(offset, offset + sum(b.count for b in lead[block_start:block_end])),
+            range(version.sealed_rows, version.row_count) if include_tail else (),
         )
         visible = [i for i in offsets if snapshot.can_see(xids[0][i], xids[1][i])]
         if visible:
-            live = {ROW_OFFSET: visible}
-            yield [live.get(name) for name in column_names], None, len(visible)
+            rows = {ROW_OFFSET: visible}
+            yield [rows.get(name) for name in column_names], None, len(visible)
         return
 
-    sealed = {position: column.blocks for position, column in chains.items()}
-    lead = next(iter(sealed.values()))
-    if block_end is None:
-        block_end = len(lead)
+    sealed = {position: version.columns[name][0] for position, name in live.items()}
     pruners = [
         (sealed[col_pos], op, literal) for col_pos, op, literal in zone_predicates
     ]
-    offset = sum(block.count for block in lead[:block_start])
 
     def read(block) -> tuple:
         """The read decision: (block, vector, cache hit?, cache miss?)."""
@@ -157,10 +164,8 @@ def scan_blocks(
             continue
         columns: list = [None] * width
         for position, blocks in sealed.items():
-            # Re-fetch after a repair: a scrub swaps the block in its chain.
-            block, values, hit, missed = recover(
-                lambda: read(blocks[k]), lambda: read(chains[position].blocks[k])
-            )
+            # A repair restores the block in place: re-reading it is the retry.
+            block, values, hit, missed = recover(lambda: read(blocks[k]))
             if stats is not None:
                 stats.chains_read += 1
                 stats.values_read += block.count
@@ -180,22 +185,20 @@ def scan_blocks(
             yield columns, selection, row_count
         offset += row_count
 
-    tails = {position: column.tail_values for position, column in chains.items()}
-    tail_count = len(next(iter(tails.values()))) if include_tail else 0
+    tail_count = version.tail_count if include_tail else 0
     if not tail_count:
         return
-    offset = sum(block.count for block in lead)
+    offset = version.sealed_rows
     selection = _selection(xids, offset, tail_count, snapshot)
     if selection is None or selection:
         columns = [None] * width
-        for position, tail in tails.items():
-            # Copied: the live buffer grows under concurrent inserts.
-            columns[position] = tail[:tail_count]
+        for position, name in live.items():
+            columns[position] = version.columns[name][1][:tail_count]
         for position in offset_slots:
             columns[position] = range(offset, offset + tail_count)
         yield columns, selection, tail_count
     if stats is not None:
-        stats.values_read += tail_count * len(chains)
+        stats.values_read += tail_count * len(live)
 
 
 def scan_rows(
@@ -251,17 +254,6 @@ def scan_batches(
         ):
             stats.encoded_batches += 1
         yield batch
-
-
-def shard_block_count(shard: TableShard) -> int:
-    """Number of sealed row blocks in *shard* (chains are in lockstep)."""
-    return len(_any_chain_blocks(shard))
-
-
-def _any_chain_blocks(shard: TableShard) -> list:
-    for column in shard.chains.values():
-        return column.blocks
-    return []
 
 
 def _encoded_column(block, stats: ScanStats | None) -> EncodedColumn:

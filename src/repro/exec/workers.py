@@ -17,10 +17,14 @@ make serial, thread and fork runs disagree stat-for-stat.
 Where fork is unavailable a ``ThreadPoolExecutor`` runs the same tasks
 against shared memory.
 
-Staleness: a forked child sees the memory image of fork time. Every
-storage mutation bumps :mod:`repro.storage.epoch`, and
-:class:`PoolManager` re-forks whenever the epoch moved, so workers never
-scan stale blocks. Thread pools share memory and never go stale.
+Versions: the leader cuts a shard's morsels from the shard version it
+bound, and a task carries that version's number. A worker whose shard is
+at another version (a forked image older than the bound version, or a
+writer that published since) returns no result, and the leader runs the
+morsel inline against the version it bound. A pool draws a version
+number before it forks, and :class:`PoolManager` re-forks when a
+dispatch scans a newer version. Thread pools share memory and never go
+stale.
 
 Determinism: workers compute no side effects on shared engine state —
 no disk accounting, no fault draws, no interconnect records. Disk reads
@@ -49,8 +53,8 @@ from repro.exec.batch import (
     project_batch,
 )
 from repro.exec.scan import scan_batches
-from repro.storage import epoch
 from repro.storage.chain import ScanStats
+from repro.storage.slicestore import ShardVersion, next_version_number
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +70,11 @@ _registry_ids = itertools.count(1)
 
 
 def register_slices(slices: list) -> int:
-    """Register a cluster's slice stores; returns the registry id.
-
-    Bumps the storage epoch: any already-forked pool predates this
-    registration and must not serve tasks that reference it.
-    """
+    """Register a cluster's slice stores; returns the registry id. The
+    cluster registers before its pool manager forks anything, so every
+    pool of that cluster inherits the entry."""
     registry_id = next(_registry_ids)
     _SLICES[registry_id] = list(slices)
-    epoch.bump()
     return registry_id
 
 
@@ -110,14 +111,16 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class MorselTask:
-    """One schedulable unit: a block range of one slice's shard
-    (``block_end`` None = through the last sealed block the worker sees)."""
+    """One schedulable unit: a block range of one version of one slice's
+    shard."""
 
     registry_id: int
     slice_index: int
     slice_id: str
+    #: Number of the shard version the morsels were cut from.
+    version: int
     block_start: int
-    block_end: int | None
+    block_end: int
     include_tail: bool
     pipeline: PipelineSpec
     snapshot: Snapshot
@@ -142,13 +145,18 @@ class MorselResult:
     elapsed_us: int = 0
 
 
-def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
+def run_morsel(
+    task: MorselTask,
+    slices: list | None = None,
+    version: ShardVersion | None = None,
+) -> MorselResult | None:
     """Execute one morsel; runs inside a worker (or inline on the leader).
 
     Pool workers resolve the slice stores from the fork-inherited
-    registry; the leader's inline path (parallelism 1, crash re-runs,
-    morsels a replaced pool would not take) passes its own *slices*
-    directly.
+    registry and scan their shard's version, returning None when it is
+    not the task's. The leader's inline path (parallelism 1, crash
+    re-runs, morsels a worker could not take) passes its own *slices*
+    and the *version* it bound.
     """
     if task.crash:
         raise WorkerCrashError(task.slice_id, "injected crash")
@@ -156,13 +164,16 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
     pipeline = task.pipeline
     if slices is None:
         slices = _SLICES.get(task.registry_id)
-    if slices is None:
-        raise ExecutionError(
-            f"worker has no slice registry {task.registry_id} "
-            "(pool predates cluster registration)"
-        )
-    store = slices[task.slice_index]
-    shard = store.shard(pipeline.table)
+        if slices is None:
+            raise ExecutionError(
+                f"worker has no slice registry {task.registry_id} "
+                "(pool predates cluster registration)"
+            )
+    shard = slices[task.slice_index].shard(pipeline.table)
+    if version is None:
+        version = shard.version
+        if version.number != task.version:
+            return None
     masks = [make_mask_kernel(f) for f in pipeline.filters]
     stages = [
         (True, (make_mask_kernel(payload),))
@@ -180,6 +191,7 @@ def run_morsel(task: MorselTask, slices: list | None = None) -> MorselResult:
             pipeline.column_names,
             pipeline.zone_predicates,
             task.snapshot,
+            version=version,
             block_start=task.block_start,
             block_end=task.block_end,
             include_tail=task.include_tail,
@@ -236,8 +248,9 @@ class WorkerPool:
             raise ValueError(f"unknown pool mode {mode!r}")
         self.workers = workers
         self.mode = mode
-        #: Storage epoch the pool's memory image reflects (fork mode).
-        self.epoch = epoch.current()
+        #: Drawn before the fork: every shard version published after
+        #: the fork has a larger number.
+        self.version = next_version_number()
         if mode == "fork":
             context = multiprocessing.get_context("fork")
             self._pool = ProcessPoolExecutor(
@@ -251,19 +264,11 @@ class WorkerPool:
     def submit(self, task: MorselTask) -> Future:
         return self._pool.submit(run_morsel, task)
 
-    def stale(self) -> bool:
-        """Fork pools go stale when storage mutated after the fork."""
-        return self.mode == "fork" and self.epoch != epoch.current()
-
-    def stale_for(self, tables) -> bool:
-        """Staleness restricted to *tables* — the ones a dispatch will
-        scan. Mutations of other tables leave the inherited image stale
-        only where this dispatch never reads, so the pool stays usable
-        (per-table epochs share the global counter's value space, making
-        ``table_epoch(t) > fork epoch`` a valid ordering test)."""
-        return self.mode == "fork" and any(
-            epoch.table_epoch(table) > self.epoch for table in tables
-        )
+    def stale_for(self, version: int) -> bool:
+        """Whether a fork pool's image predates *version*, the newest
+        version number of the tables a dispatch scans. Mutations of other
+        tables leave the image stale only where it is never read."""
+        return self.mode == "fork" and version > self.version
 
     def close(self, wait: bool = False) -> None:
         """Stop taking morsels (a later ``submit`` raises RuntimeError).
@@ -290,26 +295,18 @@ class PoolManager:
         #: Pools replaced specifically because they went stale.
         self.reforks = 0
 
-    def pool(
-        self, workers: int, mode: str, tables: "set[str] | None" = None
-    ) -> WorkerPool:
+    def pool(self, workers: int, mode: str, version: int) -> WorkerPool:
         """The cached pool, re-forked if unusable for this dispatch.
 
-        With *tables* (the tables the dispatch scans) staleness is
-        per-table: a fork-mode pool survives mutations of tables it will
-        not read. Without it, any storage mutation forces a re-fork.
+        *version* is the newest shard version the dispatch scans: a
+        fork-mode pool survives mutations of the tables it will not read.
         """
         with self._lock:
             current = self._pool
             if current is not None and current.workers == workers and (
                 current.mode == mode
             ):
-                stale = (
-                    current.stale_for(tables)
-                    if tables is not None
-                    else current.stale()
-                )
-                if not stale:
+                if not current.stale_for(version):
                     return current
                 self.reforks += 1
             if current is not None:

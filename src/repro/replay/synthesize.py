@@ -12,7 +12,7 @@ the paper's workload mix:
 - **Ad-hoc analysts**: parameterized range scans whose literals vary
   per query, so almost every one is a cache miss.
 - **ETL writers**: batched INSERTs with occasional DELETEs, sparse in
-  time, constantly moving table epochs under the readers.
+  time, constantly moving table versions under the readers.
 
 All randomness flows from one :class:`~repro.util.rng.DeterministicRng`
 through per-session child streams, so a (profile, tables, seed) triple

@@ -20,7 +20,6 @@ from repro.errors import (
 )
 from repro.replication.cohort import CohortPlan
 from repro.storage.block import Block
-from repro.storage.slicestore import TableShard
 from repro.util.units import MB
 
 
@@ -121,24 +120,20 @@ class ReplicationManager:
             for table_name, shard in store.shards.items():
                 # Only sealed blocks replicate; open tails are below the
                 # replication point until the next seal (loads seal).
-                first_chain = next(iter(shard.chains.values()), None)
-                sealed_rows = (
-                    sum(b.count for b in first_chain.blocks)
-                    if first_chain is not None
-                    else 0
-                )
+                version = shard.version
+                sealed_rows = version.sealed_rows
                 entry = {
                     "columns": {},
-                    "insert_xids": list(shard.insert_xids[:sealed_rows]),
-                    "delete_xids": list(shard.delete_xids[:sealed_rows]),
+                    "insert_xids": version.insert_xids[:sealed_rows],
+                    "delete_xids": version.delete_xids[:sealed_rows],
                     "codecs": {
                         name: chain.codec.name
                         for name, chain in shard.chains.items()
                     },
                 }
-                for column_name, chain in shard.chains.items():
+                for column_name in shard.column_names:
                     ids = []
-                    for block in chain.blocks:
+                    for block in version.columns[column_name][0]:
                         ids.append(block.block_id)
                         if block.block_id in self.replicas:
                             continue
@@ -282,14 +277,16 @@ class ReplicationManager:
             repaired_any = False
             if chain is not None and primary is not None and not primary_ok:
                 fresh = Block.deserialize(source)
-                if chain.replace_block(block_id, fresh):
+                with self._cluster.storage_lock:
+                    swapped = chain.replace_block(block_id, fresh)
+                if swapped:
                     self._store(info.primary_slice).disk.record_write(
                         fresh.encoded_bytes
                     )
                     # Block repair mutates primary storage outside any
                     # session; the optimizer must stop trusting stats
                     # measured against the pre-repair bytes.
-                    self._cluster.invalidate_statistics(chain.table_name)
+                    self._cluster.invalidate_statistics(info.table)
                     repaired_any = True
             if not secondary_ok:
                 self._secondary_store.setdefault(info.secondary_slice, {})[
@@ -354,20 +351,20 @@ class ReplicationManager:
             info = table_infos.get(table_name)
             if info is None:
                 continue
-            if store.has_shard(table_name):
-                store.drop_shard(table_name)
-            shard = store.create_shard(
-                table_name, info.column_specs, entry["codecs"]
-            )
-            for column_name, block_ids in entry["columns"].items():
-                blocks = []
-                for block_id in block_ids:
-                    block = self.read_block(block_id, s3_reader)
-                    blocks.append(block)
-                    bytes_restored += block.encoded_bytes
-                shard.chain(column_name).adopt_blocks(blocks)
-            shard.insert_xids = list(entry["insert_xids"])
-            shard.delete_xids = list(entry["delete_xids"])
+            with self._cluster.storage_lock:
+                if store.has_shard(table_name):
+                    store.drop_shard(table_name)
+                shard = store.create_shard(
+                    table_name, info.column_specs, entry["codecs"]
+                )
+                adopted = {}
+                for column_name, block_ids in entry["columns"].items():
+                    adopted[column_name] = blocks = []
+                    for block_id in block_ids:
+                        block = self.read_block(block_id, s3_reader)
+                        blocks.append(block)
+                        bytes_restored += block.encoded_bytes
+                shard.adopt(adopted, entry["insert_xids"], entry["delete_xids"])
             store.disk.record_write(shard.encoded_bytes)
             # Failover rebuilt this table's shard from mirror/S3 copies
             # — a storage mutation no session saw, so stale the stats.

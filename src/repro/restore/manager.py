@@ -10,7 +10,6 @@ from repro.cloud.simclock import SimClock
 from repro.engine.catalog import TableStatistics
 from repro.engine.cluster import Cluster
 from repro.engine.transactions import BOOTSTRAP_XID
-from repro.storage import epoch
 from repro.errors import S3TransientError, SnapshotNotFoundError
 from repro.faults.retry import RetryPolicy, with_backoff
 from repro.restore.lazyblock import LazyBlock
@@ -37,11 +36,11 @@ class RestoreResult:
     faulted_blocks: int = 0
     faulted_bytes: int = 0
     lazy_blocks: list[LazyBlock] = field(default_factory=list)
-    #: Per-table mutation epochs captured when the snapshot was taken
-    #: (empty for pre-epoch snapshots). Burst routing compares these
-    #: against the live epochs to decide whether the restored cluster is
-    #: fresh enough to serve a query.
-    table_epochs: dict[str, int] = field(default_factory=dict)
+    #: The source cluster's table versions when the snapshot was taken.
+    #: Burst routing compares these against the source's live versions
+    #: to decide whether the restored cluster is fresh enough to serve a
+    #: query.
+    table_versions: dict[str, int] = field(default_factory=dict)
 
     @property
     def resident_fraction(self) -> float:
@@ -111,15 +110,8 @@ class RestoreManager:
         return self._restore(snapshot_id, streaming=True)
 
     def _restore(self, snapshot_id: str, streaming: bool) -> RestoreResult:
-        # Constructing a cluster from snapshot images replays the write
-        # paths (create_shard, adopt_blocks) but is not a new version of
-        # any table other clusters serve — keep it out of the shared
-        # epoch counters so a burst restore doesn't invalidate the main
-        # cluster's caches or defeat its own freshness check.
-        with epoch.suppressed():
-            return self._restore_locked(snapshot_id, streaming)
-
-    def _restore_locked(self, snapshot_id: str, streaming: bool) -> RestoreResult:
+        """Build a new cluster from a manifest. Its shards are its own,
+        so building them moves no version of any other cluster."""
         manifest = self._load_manifest(snapshot_id)
         cluster = Cluster(
             node_count=manifest["node_count"],
@@ -162,6 +154,7 @@ class RestoreManager:
             store = stores[target_id]
             for table_name, entry in slice_entry["tables"].items():
                 shard = store.shard(table_name)
+                adopted: dict[str, list] = {}
                 for column_name, metas in entry["columns"].items():
                     blocks = []
                     for meta in metas:
@@ -193,12 +186,12 @@ class RestoreManager:
                                     self._fetch_block_bytes(meta["block_id"])
                                 )
                             )
-                    shard.chain(column_name).adopt_blocks(blocks)
+                    adopted[column_name] = blocks
                 row_count = entry["row_count"]
-                shard.insert_xids = [BOOTSTRAP_XID] * row_count
-                shard.delete_xids = [None] * row_count
+                deleted: list[int | None] = [None] * row_count
                 for offset in entry["dead"]:
-                    shard.delete_xids[offset] = BOOTSTRAP_XID
+                    deleted[offset] = BOOTSTRAP_XID
+                shard.adopt(adopted, [BOOTSTRAP_XID] * row_count, deleted)
                 live_rows[table_name] = (
                     live_rows.get(table_name, 0)
                     + row_count
@@ -241,7 +234,7 @@ class RestoreManager:
         result.total_blocks = total_blocks
         result.total_bytes = total_bytes
         result.lazy_blocks = lazy_blocks
-        result.table_epochs = dict(manifest.get("table_epochs", {}))
+        result.table_versions = dict(manifest["table_versions"])
         return result
 
     def complete_background_fetch(self, result: RestoreResult) -> float:

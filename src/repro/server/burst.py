@@ -15,13 +15,13 @@ statement path, asked before the result cache and before
   any explicit transaction (a transaction's reads must see its own
   writes, which only exist on main) and scanning no system tables
   (``stv_*`` state lives per cluster; the burst clone's would be wrong).
-- **Freshness.** The snapshot manifest captures every table's mutation
-  epoch at backup time. A query routes only while *all* of its scanned
-  tables' live epochs still equal the captured ones — the moment a
-  table mutates on main, queries over it stay on main (counted as
-  ``stale_rejects``). This is the same invalidation discipline the
-  result cache uses, and it makes burst results bit-identical to main
-  by construction.
+- **Freshness.** The snapshot manifest captures every table's version
+  (``Cluster.table_version``) at backup time. A query routes only while
+  *all* of its scanned tables' versions on main still equal the
+  captured ones — the moment a table mutates on main, queries over it
+  stay on main (counted as ``stale_rejects``). This is the same
+  invalidation discipline the result cache uses, and it makes burst
+  results bit-identical to main by construction.
 - **One set of parameters.** A routed statement is the *main* session's
   own SELECT stage pointed at the burst cluster's storage, caches and
   fault injector: it runs the plan main already made, under that
@@ -57,7 +57,6 @@ from repro.errors import (
     S3TransientError,
     WorkerCrashError,
 )
-from repro.storage import epoch
 
 #: Failures that mean the burst *infrastructure* is unhealthy (retire
 #: it), as opposed to a query error that would reproduce on main.
@@ -111,9 +110,9 @@ class BurstCluster:
     #: The restored engine :class:`~repro.engine.cluster.Cluster`.
     cluster: object
     snapshot_id: str
-    #: table name -> mutation epoch captured when the snapshot was
-    #: taken; the router's freshness oracle.
-    snapshot_epochs: dict[str, int]
+    #: table name -> main's table version captured when the snapshot
+    #: was taken; the router's freshness oracle.
+    snapshot_versions: dict[str, int]
     provisioned_at: float
     state: str = "active"
     last_routed_at: float = 0.0
@@ -179,8 +178,9 @@ class BurstRouter:
             burst = self.active
             if burst is None:
                 return None
+        main = self._server.cluster
         for name in tables:
-            if epoch.table_epoch(name) != burst.snapshot_epochs.get(name):
+            if main.table_version(name) != burst.snapshot_versions.get(name):
                 with self._lock:
                     self.stale_rejects += 1
                     burst.stale_rejects += 1

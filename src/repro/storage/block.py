@@ -78,10 +78,9 @@ class Block:
     #: the content can have changed (corrupt()), so the hot read path pays
     #: the CRC pass once per block, not once per read.
     _verified: bool = field(default=False, repr=False, compare=False)
-    #: Owning table, stamped by the chain that sealed/adopted the block.
-    #: Attributes corrupt()'s cache/epoch invalidation to the table;
-    #: None (blocks built outside a shard) falls back to the wildcard.
-    table_name: str | None = field(default=None, repr=False, compare=False)
+    #: The shard whose chain holds the block, set by that chain (None
+    #: outside any shard): corrupt() moves its version.
+    owner: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -160,12 +159,22 @@ class Block:
         """Deliberately corrupt the block (test/failure-injection hook).
 
         Flips bits inside the encoded payload, resets the
-        verified-checksum memo and evicts the block from every decode
-        cache, so the next read re-verifies and fails.
+        verified-checksum memo, evicts the block from every decode cache
+        and moves the owning shard's version, so the next read
+        re-verifies and fails and no cached result outlives the flip.
         """
         corrupt_payload(self.vector)
         self._verified = False
-        blockcache.invalidate_everywhere(self.block_id, self.table_name)
+        blockcache.invalidate_everywhere(self.block_id)
+        if self.owner is not None:
+            self.owner.touch()
+
+    def restore(self, image: "Block") -> None:
+        """Undo :meth:`corrupt` from *image*, a good copy of this block."""
+        self.vector = image.vector
+        self.zone_map = image.zone_map
+        self.checksum = image.checksum
+        self._verified = False
 
     def serialize(self) -> bytes:
         """Produce the byte image shipped to replicas and to S3 backup."""

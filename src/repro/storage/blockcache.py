@@ -28,8 +28,6 @@ import threading
 import weakref
 from collections import OrderedDict
 
-from repro.storage import epoch
-
 #: Every live cache instance; Block.corrupt() and chain rewrites reach
 #: all of them without holding strong references.
 _instances: "weakref.WeakSet" = weakref.WeakSet()
@@ -38,17 +36,8 @@ _instances: "weakref.WeakSet" = weakref.WeakSet()
 DEFAULT_CAPACITY = 4096
 
 
-def invalidate_everywhere(block_id: str, table: str | None = None) -> None:
-    """Drop *block_id* from every live cache (bit-flips, rewrites).
-
-    Every caller of this function is rewriting block content in place
-    (corruption, scrub repair, adopt_blocks, VACUUM), which also makes
-    any forked worker-pool memory image stale — so this doubles as the
-    storage-epoch bump for those mutation paths. *table* attributes the
-    bump to the owning table (precise pool/result-cache invalidation);
-    None falls back to the wildcard epoch.
-    """
-    epoch.bump(table)
+def invalidate_everywhere(block_id: str) -> None:
+    """Drop *block_id* from every live cache (bit-flips, rewrites)."""
     for cache in list(_instances):
         cache.invalidate(block_id)
 

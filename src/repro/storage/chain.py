@@ -67,7 +67,9 @@ class ScanStats:
 
 
 class ColumnChain:
-    """The storage of one column on one slice."""
+    """The storage of one column on one slice. The sealed-block tuple is
+    replaced, never changed, and the tail buffer only grows (sealing
+    starts a new one), so shard versions holding them stay valid."""
 
     def __init__(
         self,
@@ -75,6 +77,7 @@ class ColumnChain:
         sql_type: SqlType,
         codec: Codec | str = "raw",
         block_capacity: int = BLOCK_CAPACITY_DEFAULT,
+        owner=None,
     ):
         if block_capacity < 1:
             raise ValueError(f"block capacity must be positive, got {block_capacity}")
@@ -82,11 +85,11 @@ class ColumnChain:
         self.sql_type = sql_type
         self.codec = codec_by_name(codec) if isinstance(codec, str) else codec
         self.block_capacity = block_capacity
-        self._blocks: list[Block] = []
+        self._blocks: tuple[Block, ...] = ()
         self._tail: list[object] = []
-        #: Owning table, set by TableShard; attributes cache/epoch
-        #: invalidations to the table so per-table staleness stays precise.
-        self.table_name: str | None = None
+        #: The owning shard (None for a free-standing chain); its blocks
+        #: point back to it so Block.corrupt() can move its version.
+        self.owner = owner
 
     # ---- writes -----------------------------------------------------------
 
@@ -104,10 +107,8 @@ class ColumnChain:
 
     def _seal_tail(self) -> None:
         block = Block.build(self._tail, self.sql_type, self.codec)
-        # Blocks learn their owning table so Block.corrupt() can attribute
-        # its invalidation (it only knows the block).
-        block.table_name = self.table_name
-        self._blocks.append(block)
+        block.owner = self.owner
+        self._blocks += (block,)
         self._tail = []
 
     def set_codec(self, codec: Codec | str) -> None:
@@ -126,9 +127,9 @@ class ColumnChain:
         return len(self._blocks) + (1 if self._tail else 0)
 
     @property
-    def blocks(self) -> list[Block]:
+    def blocks(self) -> tuple[Block, ...]:
         """Sealed blocks (the tail buffer is not yet a block)."""
-        return list(self._blocks)
+        return self._blocks
 
     @property
     def tail_values(self) -> list[object]:
@@ -152,25 +153,26 @@ class ColumnChain:
         return out
 
     def replace_block(self, block_id: str, block: Block) -> bool:
-        """Swap a sealed block for a repaired image with the same id.
+        """Repair a sealed block from *block*, an image with the same id.
 
-        Used by scrub-and-repair to splice a restored block back into the
-        chain in place. Returns False when no sealed block matches.
+        The block takes the image's content in place, so every version
+        holding it reads the repair, and the owning shard publishes its
+        next version. Returns False when no sealed block matches.
         """
-        for i, existing in enumerate(self._blocks):
+        for existing in self._blocks:
             if existing.block_id == block_id:
-                block.table_name = self.table_name
-                self._blocks[i] = block
-                # The repaired image reuses the id; drop any stale
-                # decoded entry so caches serve the new content.
-                blockcache.invalidate_everywhere(block_id, self.table_name)
+                existing.restore(block)
+                # Drop any stale decoded entry so caches serve the repair.
+                blockcache.invalidate_everywhere(block_id)
+                if self.owner is not None:
+                    self.owner.touch()
                 return True
         return False
 
     def evict_cached(self) -> None:
         """Evict the sealed blocks from every decode cache (retiring them)."""
         for block in self._blocks:
-            blockcache.invalidate_everywhere(block.block_id, self.table_name)
+            blockcache.invalidate_everywhere(block.block_id)
 
     def adopt_blocks(self, blocks: Sequence[Block]) -> None:
         """Replace this chain's contents with already-built blocks.
@@ -179,9 +181,9 @@ class ColumnChain:
         replicated or backed-up block images. Any open tail is discarded.
         """
         self.evict_cached()
-        self._blocks = list(blocks)
+        self._blocks = tuple(blocks)
         for block in self._blocks:
-            block.table_name = self.table_name
+            block.owner = self.owner
         self._tail = []
 
     def rewrite_in_order(self, order: Sequence[int]) -> "ColumnChain":
@@ -193,9 +195,9 @@ class ColumnChain:
         self.evict_cached()
         values = self.read_all()
         fresh = ColumnChain(
-            self.column_name, self.sql_type, self.codec, self.block_capacity
+            self.column_name, self.sql_type, self.codec, self.block_capacity,
+            self.owner,
         )
-        fresh.table_name = self.table_name
         fresh.append([values[i] for i in order])
         fresh.seal()
         return fresh

@@ -3,26 +3,71 @@
 A :class:`TableShard` holds the slice-local portion of one table: a
 :class:`~repro.storage.chain.ColumnChain` per column plus per-row
 transaction metadata (inserting/deleting transaction ids) used by the
-engine's snapshot-isolation visibility checks. :class:`SliceStorage` is
-the collection of shards on one slice together with its simulated disk.
+engine's snapshot-isolation visibility checks. Readers never look at the
+chains: every mutation publishes one immutable :class:`ShardVersion`,
+and a scan binds the shard's current version once, with no lock.
+:class:`SliceStorage` is the collection of shards on one slice together
+with its simulated disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import threading
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.compression.codecs import Codec
 from repro.datatypes.types import SqlType
 from repro.errors import StorageError
-from repro.storage import epoch
-from repro.storage.block import BLOCK_CAPACITY_DEFAULT
+from repro.storage.block import BLOCK_CAPACITY_DEFAULT, Block
 from repro.storage.chain import ColumnChain
 from repro.storage.disk import SimulatedDisk
 
+#: A fresh version number: one increasing counter numbers every shard's
+#: versions, as block ids are drawn, so a number drawn before an event is
+#: below every version published after it.
+next_version_number = itertools.count(1).__next__
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ShardVersion:
+    """One published state of a shard, the only thing readers look at.
+
+    Later versions may append to its xid arrays and tail buffers, so
+    readers use them only below ``row_count`` / ``tail_count`` (a
+    tombstone copies the delete array: past ``row_count`` it holds only
+    Nones). Nothing else in a version changes.
+    """
+
+    number: int
+    #: column name -> (sealed blocks, tail buffer).
+    columns: dict[str, tuple[tuple[Block, ...], list]]
+    tail_count: int
+    row_count: int
+    #: Per row: the inserting transaction, and the deleting one or None.
+    insert_xids: list[int]
+    delete_xids: list[int | None]
+    #: Rows [0, sorted_prefix) are in sort-key order; VACUUM extends it.
+    sorted_prefix: int = 0
+
+    @property
+    def lead_blocks(self) -> tuple[Block, ...]:
+        """Any column's sealed blocks: chains are in lockstep, so block
+        *k* covers the same rows in every column."""
+        return next(iter(self.columns.values()))[0]
+
+    @property
+    def sealed_rows(self) -> int:
+        return self.row_count - self.tail_count
+
 
 class TableShard:
-    """The slice-local rows of one table."""
+    """The slice-local rows of one table.
+
+    Writers hold the cluster's storage lock; each mutation builds the
+    next :attr:`version` and publishes it last, with one assignment.
+    """
 
     def __init__(
         self,
@@ -36,22 +81,19 @@ class TableShard:
         codecs = codecs or {}
         self.chains: dict[str, ColumnChain] = {
             name: ColumnChain(
-                name, sql_type, codecs.get(name, "raw"), block_capacity
+                name, sql_type, codecs.get(name, "raw"), block_capacity, self
             )
             for name, sql_type in columns
         }
-        for chain in self.chains.values():
-            chain.table_name = table_name
-        #: Transaction id that inserted each row (parallel to row offsets).
-        self.insert_xids: list[int] = []
-        #: Transaction id that deleted each row, or None while live.
-        self.delete_xids: list[int | None] = []
-        #: Rows [0, sorted_prefix) are in sort-key order; VACUUM extends it.
-        self.sorted_prefix = 0
+        #: Orders publishing against touch(), which may come from outside
+        #: the storage lock (commit, bit-flips).
+        self._publishing = threading.Lock()
+        self.version = ShardVersion(0, {}, 0, 0, [], [])
+        self.publish()
 
     @property
     def row_count(self) -> int:
-        return len(self.insert_xids)
+        return self.version.row_count
 
     @property
     def column_names(self) -> list[str]:
@@ -61,6 +103,21 @@ class TableShard:
     def encoded_bytes(self) -> int:
         return sum(chain.encoded_bytes for chain in self.chains.values())
 
+    def publish(self, **changes) -> None:
+        """Publish the chains' present state, plus *changes* to the row
+        metadata, as the next version."""
+        columns = {n: (c.blocks, c.tail_values) for n, c in self.chains.items()}
+        tail_count = len(next(iter(columns.values()))[1])
+        self.touch(columns=columns, tail_count=tail_count, **changes)
+
+    def touch(self, **changes) -> None:
+        """Publish the current version with *changes* under a new number
+        — bare, for what a commit, a rollback or a bit-flip changes."""
+        with self._publishing:
+            self.version = replace(
+                self.version, number=next_version_number(), **changes
+            )
+
     def append_rows(self, rows: Iterable[Sequence[object]], xid: int) -> int:
         """Append full rows (tuples in column order) inserted by *xid*.
 
@@ -68,7 +125,6 @@ class TableShard:
         validated by the caller (the engine validates at ingest).
         """
         names = self.column_names
-        count = 0
         buffers: list[list[object]] = [[] for _ in names]
         for row in rows:
             if len(row) != len(names):
@@ -78,13 +134,7 @@ class TableShard:
                 )
             for buffer, value in zip(buffers, row):
                 buffer.append(value)
-            count += 1
-        for name, buffer in zip(names, buffers):
-            self.chains[name].append(buffer)
-        self.insert_xids.extend([xid] * count)
-        self.delete_xids.extend([None] * count)
-        epoch.bump(self.table_name)
-        return count
+        return self.append_columns(buffers, xid)
 
     def append_columns(
         self, vectors: Sequence[Sequence[object]], xid: int
@@ -101,26 +151,28 @@ class TableShard:
         count = lengths.pop() if lengths else 0
         for name, vector in zip(names, vectors):
             self.chains[name].append(vector)
-        self.insert_xids.extend([xid] * count)
-        self.delete_xids.extend([None] * count)
-        epoch.bump(self.table_name)
+        version = self.version
+        version.insert_xids.extend([xid] * count)
+        version.delete_xids.extend([None] * count)
+        self.publish(row_count=version.row_count + count)
         return count
 
     def seal(self) -> None:
         """Seal the open tail block of every chain (end of a load)."""
         for chain in self.chains.values():
             chain.seal()
-        epoch.bump(self.table_name)
+        self.publish()
 
     def mark_deleted(self, offsets: Iterable[int], xid: int) -> int:
         """Tombstone rows at *offsets* as deleted by *xid*."""
+        deleted = list(self.version.delete_xids)
         n = 0
         for offset in offsets:
-            if self.delete_xids[offset] is None:
-                self.delete_xids[offset] = xid
+            if deleted[offset] is None:
+                deleted[offset] = xid
                 n += 1
         if n:
-            epoch.bump(self.table_name)
+            self.touch(delete_xids=deleted)
         return n
 
     def chain(self, column: str) -> ColumnChain:
@@ -141,10 +193,25 @@ class TableShard:
             name: chain.rewrite_in_order(order)
             for name, chain in self.chains.items()
         }
-        self.insert_xids = [xid] * len(order)
-        self.delete_xids = [None] * len(order)
-        self.sorted_prefix = len(order)
-        epoch.bump(self.table_name)
+        n = len(order)
+        self.publish(
+            row_count=n, insert_xids=[xid] * n, delete_xids=[None] * n, sorted_prefix=n
+        )
+
+    def adopt(
+        self,
+        blocks: dict[str, Sequence[Block]],
+        insert_xids: Sequence[int],
+        delete_xids: Sequence[int | None],
+    ) -> None:
+        """Replace the shard's contents with already-built blocks and the
+        xids of their rows (restore, failover), publishing once."""
+        for column, column_blocks in blocks.items():
+            self.chain(column).adopt_blocks(column_blocks)
+        self.publish(
+            row_count=len(insert_xids), insert_xids=list(insert_xids),
+            delete_xids=list(delete_xids), sorted_prefix=0,
+        )
 
 
 @dataclass
@@ -170,7 +237,6 @@ class SliceStorage:
             )
         shard = TableShard(table_name, columns, codecs, self.block_capacity)
         self._shards[table_name] = shard
-        epoch.bump(table_name)
         return shard
 
     def drop_shard(self, table_name: str) -> None:
@@ -179,7 +245,6 @@ class SliceStorage:
             self.disk.record_delete(shard.encoded_bytes)
             for chain in shard.chains.values():
                 chain.evict_cached()
-            epoch.bump(table_name)
 
     def shard(self, table_name: str) -> TableShard:
         shard = self._shards.get(table_name)
@@ -191,6 +256,17 @@ class SliceStorage:
 
     def has_shard(self, table_name: str) -> bool:
         return table_name in self._shards
+
+    def version_number(self, table_name: str) -> int:
+        """The number of *table_name*'s shard version here, 0 with no shard."""
+        shard = self._shards.get(table_name)
+        return 0 if shard is None else shard.version.number
+
+    def touch(self, table_names) -> None:
+        """Move the versions of the named tables' shards here."""
+        for shard in map(self._shards.get, table_names):
+            if shard is not None:
+                shard.touch()
 
     @property
     def shards(self) -> dict[str, TableShard]:

@@ -66,7 +66,7 @@ class TestBitFlipAndScrub:
         assert entry is not None and not entry.valid()
 
         # Scrub repairs from the mirror (rewriting content in place,
-        # which moves the epoch again). The next read recomputes.
+        # which moves the version again). The next read recomputes.
         report = managed.replication.scrub(managed.backups.s3_block_reader)
         assert report.repaired and not report.unrepairable
         fresh = session.execute(SQL)
@@ -100,9 +100,7 @@ class TestWorkerCrashRecovery:
 
     def test_recovered_execution_is_cached_and_correct(self):
         cluster, injector, session = self._crashy_cluster()
-        # First parallel query registers the worker slices, which bumps
-        # the wildcard epoch mid-flight — so its own stored entry is
-        # conservatively stale. Warm up the pool first.
+        # Warm up the pool first, so the timed statements reuse it.
         session.execute("SELECT count(*) FROM t")
 
         cold = session.execute(SQL)
@@ -146,10 +144,8 @@ class TestRestore:
         assert r.execute(SQL).rows == [(ROWS + 1, sum(range(ROWS)))]
 
     def test_restore_does_not_revive_source_staleness(self):
-        """Epochs are tracked per table *name* process-wide, so shard
-        rebuilds during restore conservatively invalidate same-named
-        entries on the source too — the source then recomputes, it never
-        serves a wrong answer."""
+        """A restore builds shards of its own, so it moves no version of
+        the source's tables: the source serves its right answer on."""
         _, service, managed, session = _managed(seed=34)
         service.snapshot_cluster(managed.cluster_id, label="pre")
         session.execute(SQL)

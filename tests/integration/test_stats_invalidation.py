@@ -2,14 +2,12 @@
 
 Only ``Session._mark_stats_stale`` used to flip
 ``TableStatistics.stale``; restore adoption, scrub ``replace_block``
-repair, and failover ``recover_slice`` all bumped mutation epochs
+repair, and failover ``recover_slice`` all moved table versions
 without touching statistics, so the CBO kept planning on NDV/min-max/
 row counts measured against bytes that no longer existed. These tests
 pin the fix: every out-of-session mutation path re-stales statistics,
 and a restore re-anchors the row count on what was actually restored.
 """
-
-import threading
 
 import pytest
 
@@ -19,7 +17,6 @@ from repro.cloud.environment import CloudEnvironment
 from repro.controlplane.service import RedshiftService
 from repro.replication import ReplicationManager
 from repro.restore import RestoreManager
-from repro.storage import epoch
 
 
 def _table_stats_row(session, name):
@@ -36,7 +33,7 @@ def analyzed(env):
 
     10 rows are inserted and ANALYZEd (fresh stats, row_count=10), then
     1000 more rows arrive through the ``distribute_rows`` bulk backdoor
-    — which bumps mutation epochs but never touches statistics, exactly
+    — which moves the table's version but never touches statistics, exactly
     the blind spot the restore fix must compensate for.
     """
     cluster = Cluster(node_count=2, slices_per_node=2, block_capacity=64)
@@ -106,36 +103,20 @@ class TestRestoreStatistics:
         assert result.cluster.catalog.table("d").statistics.row_count == 60
 
     def test_snapshot_captures_table_epochs(self, analyzed):
-        _, _, backups, env = analyzed
+        cluster, _, backups, env = analyzed
         record = backups.snapshots[-1]
-        assert record.table_epochs == {"t": epoch.table_epoch("t")}
+        assert record.table_versions == {"t": cluster.table_version("t")}
         result = RestoreManager(env.s3, "bkt", env.clock).full_restore("s1")
-        assert result.table_epochs == record.table_epochs
+        assert result.table_versions == record.table_versions
 
     def test_restore_does_not_bump_live_epochs(self, analyzed):
         """Building a clone from snapshot images must not read as a
         mutation of the main cluster's tables — that would invalidate
         caches fleet-wide and permanently defeat burst freshness."""
-        _, _, _, env = analyzed
-        before = epoch.table_epoch("t")
+        cluster, _, _, env = analyzed
+        before = cluster.table_version("t")
         RestoreManager(env.s3, "bkt", env.clock).full_restore("s1")
-        assert epoch.table_epoch("t") == before
-
-    def test_suppression_is_thread_local(self):
-        observed = {}
-
-        def other_thread():
-            observed["epoch"] = epoch.bump("suppression_probe")
-
-        with epoch.suppressed():
-            before = epoch.table_epoch("suppression_probe")
-            assert epoch.bump("suppression_probe") == epoch.current()
-            assert epoch.table_epoch("suppression_probe") == before
-            t = threading.Thread(target=other_thread)
-            t.start()
-            t.join()
-        assert epoch.table_epoch("suppression_probe") == observed["epoch"]
-        assert observed["epoch"] > before
+        assert cluster.table_version("t") == before
 
 
 def _sealed_block(cluster, table, column):

@@ -18,13 +18,20 @@ Everything around the engine session — server, burst router, replay —
 goes through ``Session.execute``, the one statement envelope: none of
 them reads a session's private state, parses SQL, writes ``stl_query``
 or fingerprints a result on its own.
+
+Versions live with the data: a shard publishes its own versions, so no
+process-global epoch, no suppression of it, and no hand-written xid
+arrays outside ``storage/slicestore.py`` come back; blocks point at
+their shard, not at a table name.
 """
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
 import repro
+from repro.storage import Block
 
 PAST_THE_CURSOR = re.compile(r"\.read_all\(|\b(?:insert|delete)_xids\[")
 PAST_THE_ENVELOPE = re.compile(
@@ -40,6 +47,11 @@ STATEMENT_RETRY = re.compile(
 WORKER_SPILL = re.compile(
     r"SpillLog|LogSpillFile|spill_log|_accounted|spill_retry|morsel_blocks"
 )
+PROCESS_EPOCHS = re.compile(r"storage import epoch|epoch\.|suppressed\(")
+XID_ASSIGNMENT = re.compile(
+    r"\.(?:insert|delete)_xids\s*=[^=]|\b(?:insert|delete)_xids\[[^\]]*\]\s*=[^=]"
+)
+BLOCK_TABLE_NAME = re.compile(r"\bblock\w*\.table_name\s*=[^=]")
 #: Join-input movement and the merge of two partial states (not the
 #: COUNT(*) fold ``agg.merge(entry[i], count)``, which merges a row count).
 DISTRIBUTION_MECHANICS = re.compile(
@@ -185,3 +197,15 @@ def test_only_volcano_moves_join_inputs_and_merges_partials():
     found = offenders(("exec",), DISTRIBUTION_MECHANICS)
     assert found and all(line.startswith("exec/volcano.py:") for line in found)
     assert offenders(("",), re.compile(r"_collect_at_leader")) == []
+
+
+def test_versions_live_with_the_data():
+    """The process-global epoch module and its suppression stay deleted;
+    only ``storage/slicestore.py`` assigns the per-row xid arrays (every
+    other writer goes through a ``TableShard`` method that publishes);
+    and a block names its owning shard, never a table."""
+    assert offenders(("",), PROCESS_EPOCHS) == []
+    assigned = offenders(("",), XID_ASSIGNMENT)
+    assert all(line.startswith("storage/slicestore.py:") for line in assigned)
+    assert offenders(("",), BLOCK_TABLE_NAME) == []
+    assert "table_name" not in {field.name for field in dataclasses.fields(Block)}

@@ -1,5 +1,5 @@
 """Regressions for the block-decode cache invalidation races and the
-per-table epoch machinery.
+per-table version machinery.
 
 The decode-outside-lock design of :meth:`BlockDecodeCache.lookup` had
 two races (both fixed in this revision, both reproduced here by driving
@@ -12,9 +12,9 @@ the re-entrant seam a concurrent thread would use):
    entry during the decode, the caller is served the cached vector — a
    hit — but was permanently counted as a miss with ``cached=False``.
 
-Plus the third fix — ``epoch.current()`` reads under the module lock —
-and the per-table epoch semantics the pool manager and result cache
-build on.
+Plus the per-table version semantics the pool manager and result cache
+build on: every shard mutation publishes a version numbered from one
+increasing counter, and a table's version is its shards' largest.
 """
 
 import multiprocessing
@@ -23,8 +23,10 @@ import time
 
 import pytest
 
+from repro import Cluster
+from repro.datatypes.types import INTEGER
 from repro.exec.workers import PoolManager
-from repro.storage import epoch
+from repro.storage import TableShard
 from repro.storage.blockcache import BlockDecodeCache
 
 
@@ -106,65 +108,54 @@ class TestLostInsertRaceAccounting:
         assert cache.misses == 1  # the winner's own (real) miss only
 
 
+def _tables(*names):
+    """A cluster holding one small table per name, and a session on it."""
+    cluster = Cluster(node_count=1, slices_per_node=2, block_capacity=16)
+    session = cluster.connect()
+    for name in names:
+        session.execute(f"CREATE TABLE {name} (k int)")
+        session.execute(f"INSERT INTO {name} VALUES (1), (2), (3)")
+    return cluster, session
+
+
 class TestEpochLocking:
-    def test_current_reads_under_the_module_lock(self):
-        """Regression: ``current()`` used to read the counter without the
-        lock. A reader must serialize against in-flight bumps."""
-        acquired = epoch._lock.acquire()
-        assert acquired
-        done = threading.Event()
-        seen = []
-        try:
-            t = threading.Thread(
-                target=lambda: (seen.append(epoch.current()), done.set())
-            )
-            t.start()
-            # While the lock is held, the read must block.
-            assert not done.wait(0.2)
-        finally:
-            epoch._lock.release()
-        assert done.wait(2.0)
-        assert seen and isinstance(seen[0], int)
-
     def test_bumps_are_monotonic_across_threads(self):
-        observed = []
+        shard = TableShard("race_table", [("k", INTEGER)], block_capacity=8)
+        observed = [[], []]
 
-        def reader():
+        def reader(seen):
             for _ in range(200):
-                observed.append(epoch.current())
+                seen.append(shard.version.number)
 
         def writer():
-            for _ in range(200):
-                epoch.bump("race_table")
+            for i in range(200):
+                shard.append_rows([(i,), (i + 1,)], xid=1)
 
-        threads = [threading.Thread(target=reader) for _ in range(2)]
+        threads = [threading.Thread(target=reader, args=(seen,)) for seen in observed]
         threads.append(threading.Thread(target=writer))
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert observed == sorted(observed) or all(
-            a <= b for a, b in zip(observed, observed[1:])
-        )
+        assert all(seen == sorted(seen) for seen in observed)
+        assert shard.version.row_count == 400
 
 
 class TestPerTableEpochs:
     def test_bump_moves_only_that_table(self):
-        before_other = epoch.table_epoch("tbl_other")
-        moved = epoch.bump("tbl_mine")
-        assert epoch.table_epoch("tbl_mine") == moved
-        assert epoch.table_epoch("tbl_other") == before_other
-
-    def test_wildcard_bump_moves_every_table(self):
-        moved = epoch.bump()
-        assert epoch.table_epoch("tbl_any") >= moved
-        assert epoch.wildcard_epoch() == moved
+        cluster, session = _tables("tbl_mine", "tbl_other")
+        before_mine = cluster.table_version("tbl_mine")
+        before_other = cluster.table_version("tbl_other")
+        session.execute("INSERT INTO tbl_mine VALUES (4)")
+        assert cluster.table_version("tbl_mine") > before_mine
+        assert cluster.table_version("tbl_other") == before_other
 
     def test_global_counter_totally_orders_tables(self):
-        a = epoch.bump("tbl_a")
-        b = epoch.bump("tbl_b")
-        assert b > a
-        assert epoch.current() >= b
+        cluster, session = _tables("tbl_a", "tbl_b")
+        session.execute("INSERT INTO tbl_a VALUES (4)")
+        a = cluster.table_version("tbl_a")
+        session.execute("INSERT INTO tbl_b VALUES (4)")
+        assert cluster.table_version("tbl_b") > a
 
 
 @pytest.mark.skipif(
@@ -173,36 +164,27 @@ class TestPerTableEpochs:
 )
 class TestPerTableReforks:
     def test_unrelated_mutation_keeps_pool(self):
+        cluster, session = _tables("tbl_scan", "tbl_unrelated")
         manager = PoolManager()
         try:
-            first = manager.pool(1, "fork", tables={"tbl_scan"})
+            first = manager.pool(1, "fork", cluster.table_version("tbl_scan"))
             assert manager.forks == 1
-            epoch.bump("tbl_unrelated")
-            again = manager.pool(1, "fork", tables={"tbl_scan"})
+            session.execute("INSERT INTO tbl_unrelated VALUES (4)")
+            again = manager.pool(1, "fork", cluster.table_version("tbl_scan"))
             assert again is first
             assert manager.forks == 1 and manager.reforks == 0
         finally:
             manager.close()
 
     def test_scanned_table_mutation_reforks(self):
+        cluster, session = _tables("tbl_scan")
         manager = PoolManager()
         try:
-            first = manager.pool(1, "fork", tables={"tbl_scan"})
-            epoch.bump("tbl_scan")
-            again = manager.pool(1, "fork", tables={"tbl_scan"})
+            first = manager.pool(1, "fork", cluster.table_version("tbl_scan"))
+            session.execute("INSERT INTO tbl_scan VALUES (4)")
+            again = manager.pool(1, "fork", cluster.table_version("tbl_scan"))
             assert again is not first
             assert manager.forks == 2 and manager.reforks == 1
-        finally:
-            manager.close()
-
-    def test_without_tables_any_mutation_reforks(self):
-        manager = PoolManager()
-        try:
-            first = manager.pool(1, "fork")
-            epoch.bump("tbl_whatever")
-            again = manager.pool(1, "fork")
-            assert again is not first
-            assert manager.reforks == 1
         finally:
             manager.close()
 
@@ -210,8 +192,6 @@ class TestPerTableReforks:
         """The tentpole's pool win: a parallel query over table a keeps
         its forked pool across mutations of table b, and still re-forks
         when a itself mutates."""
-        from repro import Cluster
-
         cluster = Cluster(node_count=1, slices_per_node=2, block_capacity=16)
         try:
             # Explicit degree: the default collapses to serial (no pool)

@@ -21,10 +21,14 @@ from repro.engine.resultcache import QueryResultCache
 from repro.engine.transactions import BOOTSTRAP_XID, TransactionManager
 from repro.exec import segmentcache
 from repro.exec.batch import KERNEL_CACHE
-from repro.storage import epoch
 from repro.systables.store import SystemEventStore
 
 THREADS = 16
+
+
+def _unchanging(table: str) -> int:
+    """A table version lookup for caches no table write ever reaches."""
+    return 0
 
 
 def run_all(workers: list[threading.Thread]) -> None:
@@ -40,7 +44,7 @@ class TestResultCacheSingleFlight:
         """Misses behind an in-flight execution wait and then hit."""
         import time
 
-        cache = QueryResultCache()
+        cache = QueryResultCache(_unchanging)
         entry, leads = cache.lead_or_wait("k")
         assert entry is None and leads  # this thread is the leader
         served: list[tuple] = []
@@ -58,7 +62,7 @@ class TestResultCacheSingleFlight:
         time.sleep(0.05)  # let the waiters block on the flight
         cache.store(
             "k", "SELECT 1", "compiled", ["c"], [(1,)],
-            ("t",), (epoch.table_epoch("t"),),
+            ("t",), (0,),
         )
         cache.finish_flight("k")
         for thread in threads:
@@ -70,7 +74,7 @@ class TestResultCacheSingleFlight:
 
     def test_failed_leader_wakes_waiters_to_reelect(self):
         """A leader that stores nothing hands the flight to a waiter."""
-        cache = QueryResultCache()
+        cache = QueryResultCache(_unchanging)
         leaders: list[int] = []
         lock = threading.Lock()
         barrier = threading.Barrier(4)
@@ -89,7 +93,7 @@ class TestResultCacheSingleFlight:
                     if len(leaders) > 1:
                         cache.store(
                             "k", "SELECT 1", "compiled", ["c"], [(1,)],
-                            ("t",), (epoch.table_epoch("t"),),
+                            ("t",), (0,),
                         )
             finally:
                 if leads:
@@ -224,10 +228,10 @@ class TestSystemEventStoreUnderConcurrency:
 class TestStatementSnapshot:
     def test_sees_commits_after_transaction_start(self):
         """statement_snapshot refreshes the committed set, closing the
-        begin-to-epoch-capture gap that let the result cache store
+        begin-to-version-capture gap that let the result cache store
         stale-but-valid entries (a commit invisible to the frozen
         transaction-start snapshot but already counted in the captured
-        table epochs)."""
+        table versions)."""
         manager = TransactionManager()
         reader = manager.begin()
         writer = manager.begin()

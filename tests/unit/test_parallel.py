@@ -9,7 +9,6 @@ import pytest
 from repro import Cluster
 from repro.datatypes import INTEGER
 from repro.exec import workers
-from repro.exec.scan import shard_block_count
 from repro.exec.workers import (
     MorselTask,
     PipelineSpec,
@@ -21,7 +20,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.sql import ast
 from repro.sql.functions import make_aggregate
-from repro.storage import ScanStats, epoch
+from repro.storage import ScanStats
 
 
 def _load(cluster, rows=300):
@@ -62,7 +61,7 @@ def _tasks_for(cluster, spec, morsel_blocks=2, **task):
     tasks = []
     snapshot = cluster.transactions.snapshot_latest()
     for index, store in enumerate(cluster.slice_stores):
-        blocks = shard_block_count(store.shard(spec.table))
+        blocks = len(store.shard(spec.table).version.lead_blocks)
         starts = list(range(0, blocks, morsel_blocks)) or [0]
         for j, start in enumerate(starts):
             tasks.append(
@@ -70,6 +69,7 @@ def _tasks_for(cluster, spec, morsel_blocks=2, **task):
                     registry_id=cluster.worker_registry_id,
                     slice_index=index,
                     slice_id=store.slice_id,
+                    version=store.shard(spec.table).version.number,
                     block_start=start,
                     block_end=min(start + morsel_blocks, blocks),
                     include_tail=(j == len(starts) - 1),
@@ -177,7 +177,7 @@ class TestMorsels:
             filters=(_b_below(5),), **_a_groups(),
         )
         most_blocks = max(
-            shard_block_count(store.shard("m"))
+            len(store.shard("m").version.lead_blocks)
             for store in cluster.slice_stores
         )
         for quantum in range(1, most_blocks + 2):
@@ -308,26 +308,26 @@ class TestPools:
             pytest.skip("platform has no fork")
         pool = WorkerPool(2, "fork")
         try:
-            assert not pool.stale()
-            epoch.bump()
-            assert pool.stale()
+            assert not pool.stale_for(cluster.table_version("t"))
+            cluster.connect().execute("INSERT INTO t VALUES (1000, 1)")
+            assert pool.stale_for(cluster.table_version("t"))
         finally:
             pool.close()
 
-    def test_thread_pool_never_goes_stale(self):
+    def test_thread_pool_never_goes_stale(self, cluster):
         pool = WorkerPool(2, "thread")
         try:
-            epoch.bump()
-            assert not pool.stale()
+            cluster.connect().execute("INSERT INTO t VALUES (1000, 1)")
+            assert not pool.stale_for(cluster.table_version("t"))
         finally:
             pool.close()
 
-    def test_manager_reuses_then_replaces_on_mutation(self):
+    def test_manager_reuses_then_replaces_on_mutation(self, cluster):
         manager = PoolManager()
         try:
-            first = manager.pool(2, "thread")
-            assert manager.pool(2, "thread") is first
-            assert manager.pool(3, "thread") is not first
+            first = manager.pool(2, "thread", cluster.table_version("t"))
+            assert manager.pool(2, "thread", cluster.table_version("t")) is first
+            assert manager.pool(3, "thread", cluster.table_version("t")) is not first
         finally:
             manager.close()
 
@@ -366,17 +366,20 @@ class TestPools:
             except Exception as exc:  # noqa: BLE001 - asserted empty below
                 errors.append(exc)
 
-        def touch():
-            # All the pool manager sees of a write to t, without racing
-            # the scans on the data itself.
+        def write():
+            # Real multi-row INSERTs that roll back: each publishes a new
+            # version of t (the pool goes stale), none changes the rows.
+            writer = cluster.connect()
             while time.monotonic() < deadline:
-                epoch.bump("t")
+                writer.execute("BEGIN")
+                writer.execute("INSERT INTO t VALUES (1000, 0), (1001, 1)")
+                writer.execute("ROLLBACK")
                 time.sleep(0.002)
 
         threads = [
             threading.Thread(target=read, args=(degree,))
             for degree in (2, 2, 3)
-        ] + [threading.Thread(target=touch)]
+        ] + [threading.Thread(target=write)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -393,8 +396,10 @@ class TestPools:
         self, cluster, monkeypatch, mode
     ):
         """A writer that lands between cutting the morsels and acquiring
-        the pool seals the tail into new blocks; the shard's last morsel
-        is open-ended, so those rows are not lost."""
+        the pool seals the tail into new blocks. The morsels still scan
+        the version they were cut from (workers whose shard moved on hand
+        theirs back to the leader), and the next statement sees the new
+        rows."""
         if mode == "fork" and workers.default_mode() != "fork":
             pytest.skip("platform has no fork")
         writer = cluster.connect()

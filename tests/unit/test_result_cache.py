@@ -13,8 +13,8 @@ import pytest
 from repro import Cluster
 from repro.engine.resultcache import QueryResultCache, result_cache_key
 from repro.engine.wlm import AdmissionGate
+from repro.exec import workers
 from repro.errors import AnalysisError
-from repro.storage import epoch
 
 
 @pytest.fixture
@@ -33,12 +33,19 @@ def cluster():
 
 
 class TestQueryResultCacheStructure:
-    def _store(self, cache, key, rows=((1,),), tables=("t",)):
-        epochs = tuple(epoch.table_epoch(t) for t in tables)
-        cache.store(key, "SELECT 1", "compiled", ["c"], list(rows), tables, epochs)
+    @pytest.fixture(autouse=True)
+    def _cluster(self, cluster):
+        self.cluster = cluster
+
+    def _cache(self, **kwargs):
+        return QueryResultCache(self.cluster.table_version, **kwargs)
+
+    def _store(self, cache, key, rows=((1,),), tables=("a",)):
+        versions = tuple(map(self.cluster.table_version, tables))
+        cache.store(key, "SELECT 1", "compiled", ["c"], list(rows), tables, versions)
 
     def test_store_then_lookup_hits(self):
-        cache = QueryResultCache()
+        cache = self._cache()
         self._store(cache, "k1")
         entry = cache.lookup("k1")
         assert entry is not None
@@ -47,32 +54,26 @@ class TestQueryResultCacheStructure:
         assert entry.hits == 1
 
     def test_lookup_absent_is_miss(self):
-        cache = QueryResultCache()
+        cache = self._cache()
         assert cache.lookup("nope") is None
         assert cache.misses == 1
 
     def test_epoch_move_invalidates_lazily(self):
-        cache = QueryResultCache()
-        self._store(cache, "k1", tables=("t",))
-        epoch.bump("t")
+        cache = self._cache()
+        self._store(cache, "k1", tables=("a",))
+        self.cluster.connect().execute("INSERT INTO a VALUES (1, 1)")
         assert cache.lookup("k1") is None
         assert cache.invalidations == 1
         assert len(cache) == 0
 
     def test_unrelated_table_epoch_keeps_entry(self):
-        cache = QueryResultCache()
-        self._store(cache, "k1", tables=("t",))
-        epoch.bump("other_table")
+        cache = self._cache()
+        self._store(cache, "k1", tables=("a",))
+        self.cluster.connect().execute("INSERT INTO b VALUES (1, 1)")
         assert cache.lookup("k1") is not None
 
-    def test_wildcard_bump_invalidates_everything(self):
-        cache = QueryResultCache()
-        self._store(cache, "k1", tables=("t",))
-        epoch.bump()  # unattributed: counts against every table
-        assert cache.lookup("k1") is None
-
     def test_lru_eviction_at_capacity(self):
-        cache = QueryResultCache(capacity=2)
+        cache = self._cache(capacity=2)
         self._store(cache, "k1")
         self._store(cache, "k2")
         cache.lookup("k1")  # k1 becomes most-recent
@@ -82,7 +83,7 @@ class TestQueryResultCacheStructure:
         assert cache.lookup("k1") is not None
 
     def test_oversized_results_not_cached(self):
-        cache = QueryResultCache(max_rows=2)
+        cache = self._cache(max_rows=2)
         self._store(cache, "k1", rows=((1,), (2,), (3,)))
         assert len(cache) == 0
 
@@ -266,6 +267,51 @@ class TestSessionIntegration:
         s.execute(sql)
         assert gate.admissions == 1
         assert gate.bypasses == 2
+
+
+class TestClustersKeepTheirOwnVersions:
+    """A table version belongs to its cluster's shards: another cluster's
+    table of the same name, or a new cluster, never moves it."""
+
+    SQL = "SELECT sum(v) FROM t"
+
+    def _clusters(self):
+        clusters = [
+            Cluster(node_count=1, slices_per_node=2, block_capacity=16)
+            for _ in range(2)
+        ]
+        for c in clusters:
+            s = c.connect()
+            s.execute("CREATE TABLE t (k int, v int)")
+            s.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        return clusters
+
+    def test_a_write_to_the_other_clusters_table_keeps_the_hit(self):
+        a, b = self._clusters()
+        reader = a.connect()
+        reader.execute(self.SQL)
+        assert reader.execute(self.SQL).stats.result_cache_hit
+        b.connect().execute("INSERT INTO t VALUES (4, 40)")
+        assert reader.execute(self.SQL).stats.result_cache_hit
+        Cluster(node_count=1, slices_per_node=1)
+        warm = reader.execute(self.SQL)
+        assert warm.stats.result_cache_hit and warm.rows == [(60,)]
+
+    def test_a_write_to_the_other_clusters_table_keeps_the_fork_pool(self):
+        if workers.default_mode() != "fork":
+            pytest.skip("platform has no fork")
+        a, b = self._clusters()
+        try:
+            reader = a.connect(executor="parallel", parallelism=2, pool_mode="fork")
+            reader.execute("SET enable_result_cache = off")
+            assert reader.execute(self.SQL).rows == [(60,)]
+            forks, reforks = a.pool_manager.forks, a.pool_manager.reforks
+            b.connect().execute("INSERT INTO t VALUES (4, 40)")
+            assert reader.execute(self.SQL).rows == [(60,)]
+            assert (a.pool_manager.forks, a.pool_manager.reforks) == (forks, reforks)
+        finally:
+            a.close()
+            b.close()
 
 
 class TestSystemTableSurface:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import INTEGER
 from repro.engine.transactions import Snapshot
-from repro.exec.scan import ROW_OFFSET, scan_batches, scan_rows, shard_block_count
+from repro.exec.scan import ROW_OFFSET, scan_batches, scan_rows
 from repro.storage import ScanStats, SimulatedDisk, TableShard
 
 COUNTERS = (
@@ -41,7 +41,7 @@ def _reference(shard, column_names, zone_predicates, snapshot=SNAPSHOT):
     rows = []
     for offset in range(shard.row_count):
         if not snapshot.can_see(
-            shard.insert_xids[offset], shard.delete_xids[offset]
+            shard.version.insert_xids[offset], shard.version.delete_xids[offset]
         ):
             continue
         if offset < sealed and any(
@@ -67,7 +67,7 @@ def _counters(stats):
 
 
 def _ranges(shard, step):
-    blocks = shard_block_count(shard)
+    blocks = len(shard.version.lead_blocks)
     starts = list(range(0, blocks, step)) or [0]
     return [
         (start, min(start + step, blocks), j == len(starts) - 1)
@@ -184,7 +184,7 @@ def test_rows_stay_aligned_after_skipped_blocks():
 
 def test_unsealed_tail_is_included():
     shard = _shard(values=[1, 2, 3], capacity=100)
-    assert shard_block_count(shard) == 0
+    assert len(shard.version.lead_blocks) == 0
     assert list(scan_rows(shard, ["k"], [], SNAPSHOT)) == [(1,), (2,), (3,)]
     (batch,) = scan_batches(shard, ["k"], [], SNAPSHOT)
     assert batch.columns == [[1, 2, 3]]

@@ -146,8 +146,8 @@ class TestTableShard:
         n = shard.append_rows([(1, "x"), (2, "y")], xid=5)
         assert n == 2
         assert shard.row_count == 2
-        assert shard.insert_xids == [5, 5]
-        assert shard.delete_xids == [None, None]
+        assert shard.version.insert_xids == [5, 5]
+        assert shard.version.delete_xids == [None, None]
 
     def test_ragged_row_rejected(self):
         shard = self._shard()
@@ -176,8 +176,8 @@ class TestTableShard:
         shard.seal()
         shard.rewrite_sorted([1, 2, 0], xid=9)
         assert shard.chain("a").read_all() == [1, 2, 3]
-        assert shard.sorted_prefix == 3
-        assert shard.insert_xids == [9, 9, 9]
+        assert shard.version.sorted_prefix == 3
+        assert shard.version.insert_xids == [9, 9, 9]
 
     def test_unknown_column(self):
         with pytest.raises(StorageError):
