@@ -6,12 +6,12 @@ CREATE TABLE (with DISTSTYLE/DISTKEY/SORTKEY/ENCODE), CTAS, DROP, COPY,
 ANALYZE, VACUUM, EXPLAIN and transaction control.
 """
 
-from repro.sql.lexer import Lexer, Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, tokenize
 from repro.sql.parser import Parser, parse_statement, parse_statements, parse_expression
 from repro.sql import ast
 
 __all__ = [
-    "Lexer", "Token", "TokenType", "tokenize",
+    "Token", "TokenType", "tokenize",
     "Parser", "parse_statement", "parse_statements", "parse_expression",
     "ast",
 ]

@@ -34,6 +34,9 @@ class Literal(Expression):
 
     value: object
     type_name: str | None = None  # for DATE '...' / TIMESTAMP '...' literals
+    #: Index of the NUMBER or STRING token the parser built it from: the
+    #: slot a template's next text fills (repro.sql.parser).
+    param: int | None = field(default=None, compare=False, repr=False)
 
     def to_sql(self) -> str:
         if self.value is None:

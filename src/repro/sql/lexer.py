@@ -1,15 +1,23 @@
 """SQL lexer.
 
-Produces a flat token stream with line/column positions for error messages.
-Identifiers are case-folded to lower case unless double-quoted; keywords
-are recognised case-insensitively. Comments (``--`` to end of line and
-``/* ... */``) are skipped.
+One compiled master pattern turns a statement into a flat token stream
+with line/column positions for error messages. Identifiers are
+case-folded to lower case unless double-quoted; keywords are recognised
+case-insensitively. Comments (``--`` to end of line and ``/* ... */``)
+are skipped.
+
+A second pass over the same pattern, :func:`template`, yields the
+statement's *template*: every token's text, with each NUMBER replaced by
+``?`` and each STRING by ``'?'``, and its *constants*, the texts those
+markers stand for. The parser keeps one AST per template
+(:func:`repro.sql.parser.parse_statement`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import LexError
 
@@ -38,15 +46,33 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<>", "!=", "<=", ">=", "||", "::",
-    "(", ")", ",", ".", ";", "=", "<", ">", "+", "-", "*", "/", "%",
-]
+#: One alternative per token class, in the order a match is tried. A
+#: number's exponent needs a digit before it (``1.e5`` is ``1.`` then
+#: ``e5``); a quote closes only where it is not a doubled escape. The
+#: error alternatives catch an unclosed comment, string or quoted
+#: identifier, and any character no token starts with.
+_TOKEN = re.compile(
+    r"""
+      ([ \t\r\n]+|--[^\n]*|/\*.*?\*/)
+    | ((?:\d+(?:\.\d*)?|\.\d+)(?:(?<=\d)[eE][+-]?\d+)?)
+    | ([^\W\d]\w*)
+    | '([^']*(?:''[^']*)*)'(?!')
+    | "([^"]*(?:""[^"]*)*)"(?!")
+    | (/\*)
+    | (<>|!=|<=|>=|\|\||::|[(),.;=<>+\-*/%])
+    | (') | (") | (.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_TRIVIA, _NUMBER, _WORD, _STRING, _QUOTED, _OPEN_COMMENT, _OPERATOR = range(1, 8)
+_ERRORS = {
+    _OPEN_COMMENT: "unterminated block comment",
+    8: "unterminated string literal",
+    9: "unterminated quoted identifier",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     line: int
@@ -59,159 +85,61 @@ class Token:
         return f"{self.type.value}:{self.text!r}@{self.line}:{self.column}"
 
 
-class Lexer:
-    """Single-pass lexer over a SQL string."""
-
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while True:
-            token = self._next_token()
-            out.append(token)
-            if token.type is TokenType.EOF:
-                return out
-
-    # ------------------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        idx = self._pos + ahead
-        return self._text[idx] if idx < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos < len(self._text):
-                if self._text[self._pos] == "\n":
-                    self._line += 1
-                    self._col = 1
-                else:
-                    self._col += 1
-                self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError(
-                        "unterminated block comment", self._pos,
-                        start_line, start_col,
-                    )
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self._line, self._col
-        ch = self._peek()
-        if not ch:
-            return Token(TokenType.EOF, "", line, col)
-        if ch == "'":
-            return self._string(line, col)
-        if ch == '"':
-            return self._quoted_ident(line, col)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._number(line, col)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, col)
-        for op in _OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, col)
-        raise LexError(f"unexpected character {ch!r}", self._pos, line, col)
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise LexError("unterminated string literal", self._pos, line, col)
-            if ch == "'":
-                if self._peek(1) == "'":  # '' escape
-                    chars.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenType.STRING, "".join(chars), line, col)
-            chars.append(ch)
-            self._advance()
-
-    def _quoted_ident(self, line: int, col: int) -> Token:
-        self._advance()
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch:
-                raise LexError("unterminated quoted identifier", self._pos, line, col)
-            if ch == '"':
-                if self._peek(1) == '"':
-                    chars.append('"')
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenType.IDENT, "".join(chars), line, col)
-            chars.append(ch)
-            self._advance()
-
-    def _number(self, line: int, col: int) -> Token:
-        chars: list[str] = []
-        seen_dot = False
-        seen_exp = False
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                chars.append(ch)
-            elif ch == "." and not seen_dot and not seen_exp:
-                # `1.` followed by another `.` would be range syntax; not supported
-                seen_dot = True
-                chars.append(ch)
-            elif ch in "eE" and not seen_exp and chars and chars[-1].isdigit():
-                nxt = self._peek(1)
-                if nxt.isdigit() or (nxt in "+-" and self._peek(2).isdigit()):
-                    seen_exp = True
-                    chars.append(ch)
-                    if nxt in "+-":
-                        self._advance()
-                        chars.append(nxt)
-                else:
-                    break
-            else:
-                break
-            self._advance()
-        return Token(TokenType.NUMBER, "".join(chars), line, col)
-
-    def _word(self, line: int, col: int) -> Token:
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch.isalnum() or ch == "_":
-                chars.append(ch)
-                self._advance()
-            else:
-                break
-        word = "".join(chars).lower()
-        if word in KEYWORDS:
-            return Token(TokenType.KEYWORD, word, line, col)
-        return Token(TokenType.IDENT, word, line, col)
+_TYPES = {
+    _NUMBER: TokenType.NUMBER,
+    _STRING: TokenType.STRING,
+    _QUOTED: TokenType.IDENT,
+    _OPERATOR: TokenType.OPERATOR,
+}
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize a SQL string (terminated by an EOF token)."""
-    return Lexer(text).tokens()
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        start = match.start()
+        raw = match.group()
+        column = start - line_start + 1
+        if kind == _WORD:
+            word = raw.lower()
+            kind_type = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(kind_type, word, line, column))
+        elif kind == _NUMBER or kind == _OPERATOR:
+            tokens.append(Token(_TYPES[kind], raw, line, column))
+        elif kind == _STRING or kind == _QUOTED:
+            value = match.group(kind).replace(raw[0] * 2, raw[0])
+            tokens.append(Token(_TYPES[kind], value, line, column))
+        elif kind != _TRIVIA:
+            if kind in _ERRORS:  # unclosed: reported at its start
+                raise LexError(_ERRORS[kind], len(text), line, column)
+            raise LexError(f"unexpected character {raw!r}", start, line, column)
+        if "\n" in raw:
+            line += raw.count("\n")
+            line_start = start + raw.rfind("\n") + 1
+    tokens.append(Token(TokenType.EOF, "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def template(text: str) -> tuple[str, dict[int, str]]:
+    """The statement's template and its constants, keyed by the index of
+    the token each one is. Builds no tokens, so a text whose template the
+    parser has seen costs one match per token."""
+    parts: list[str] = []
+    constants: dict[int, str] = {}
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        if kind == _WORD:
+            parts.append(match.group().lower())
+        elif kind == _OPERATOR or kind == _QUOTED:
+            parts.append(match.group())
+        elif kind == _NUMBER:
+            constants[len(parts)] = match.group()
+            parts.append("?")
+        elif kind == _STRING:
+            constants[len(parts)] = match.group(kind).replace("''", "'")
+            parts.append("'?'")
+        elif kind != _TRIVIA:
+            tokenize(text)  # raises the lexer's error for this text
+    return " ".join(parts), constants

@@ -4,13 +4,20 @@ Grammar follows the PostgreSQL subset Redshift supports (see
 :mod:`repro.sql.ast` for the node inventory). Expressions use precedence
 climbing: OR < AND < NOT < comparison/predicates < additive < multiplicative
 < unary < postfix cast.
+
+:func:`parse_statement` parses once per template (see
+:func:`repro.sql.lexer.template`) and hands each later text of that
+template a copy of the AST with its own constants.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.errors import ParseError
 from repro.sql import ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, template, tokenize
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _ADDITIVE_OPS = {"+", "-", "||"}
@@ -21,6 +28,14 @@ _KEYWORD_FUNCTIONS = {"count", "sum", "avg", "min", "max", "left", "right"}
 
 #: Identifiers recognised as typed-literal prefixes: DATE '2015-01-01'.
 _TYPED_LITERALS = {"date", "timestamp"}
+
+_WORDS = (TokenType.IDENT, TokenType.KEYWORD)
+
+_TRANSACTION_STATEMENTS = {
+    "begin": ast.BeginStatement,
+    "commit": ast.CommitStatement,
+    "rollback": ast.RollbackStatement,
+}
 
 
 class Parser:
@@ -84,7 +99,7 @@ class Parser:
     def _expect_name(self) -> str:
         """Identifier or non-reserved keyword usable as a name."""
         token = self._peek()
-        if token.type in (TokenType.IDENT, TokenType.KEYWORD):
+        if token.type in _WORDS:
             self._advance()
             return token.text
         raise ParseError(f"expected name, found {token!r}")
@@ -125,9 +140,9 @@ class Parser:
             "analyze": self._parse_analyze,
             "vacuum": self._parse_vacuum,
             "explain": self._parse_explain,
-            "begin": self._parse_begin,
-            "commit": self._parse_commit,
-            "rollback": self._parse_rollback,
+            "begin": self._parse_transaction,
+            "commit": self._parse_transaction,
+            "rollback": self._parse_transaction,
             "set": self._parse_set,
         }
         handler = handlers.get(word)
@@ -425,16 +440,12 @@ class Parser:
     def _parse_primary(self) -> ast.Expression:
         token = self._peek()
 
-        if token.type is TokenType.NUMBER:
+        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
+            param = self._pos
             self._advance()
-            text = token.text
-            if "." in text or "e" in text or "E" in text:
-                return ast.Literal(float(text))
-            return ast.Literal(int(text))
-
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.text)
+            if token.type is TokenType.STRING:
+                return ast.Literal(token.text, param=param)
+            return ast.Literal(number_value(token.text), param=param)
 
         if token.matches_keyword("null"):
             self._advance()
@@ -484,8 +495,9 @@ class Parser:
             # Typed literal: DATE '2015-01-01'
             if token.text in _TYPED_LITERALS and self._peek(1).type is TokenType.STRING:
                 self._advance()
+                param = self._pos
                 value = self._advance().text
-                return ast.Literal(value, type_name=token.text)
+                return ast.Literal(value, type_name=token.text, param=param)
             self._advance()
             # Function call?
             if self._at_operator("(") :
@@ -737,7 +749,7 @@ class Parser:
         options: dict[str, object] = {}
         while True:
             token = self._peek()
-            if token.type not in (TokenType.IDENT, TokenType.KEYWORD):
+            if token.type not in _WORDS:
                 break
             if token.text in ("null",):
                 self._advance()
@@ -766,9 +778,7 @@ class Parser:
 
     def _parse_on_off(self) -> bool:
         token = self._peek()
-        if token.type in (TokenType.IDENT, TokenType.KEYWORD) and token.text in (
-            "on", "off", "true", "false",
-        ):
+        if token.type in _WORDS and token.text in ("on", "off", "true", "false"):
             self._advance()
             return token.text in ("on", "true")
         raise ParseError(f"expected ON or OFF, found {token!r}")
@@ -794,20 +804,11 @@ class Parser:
         analyze = bool(self._accept_keyword("analyze"))
         return ast.ExplainStatement(self.parse_statement(), analyze=analyze)
 
-    def _parse_begin(self) -> ast.BeginStatement:
-        self._expect_keyword("begin")
-        self._accept_keyword("transaction") or self._accept_keyword("work")
-        return ast.BeginStatement()
-
-    def _parse_commit(self) -> ast.CommitStatement:
-        self._expect_keyword("commit")
-        self._accept_keyword("transaction") or self._accept_keyword("work")
-        return ast.CommitStatement()
-
-    def _parse_rollback(self) -> ast.RollbackStatement:
-        self._expect_keyword("rollback")
-        self._accept_keyword("transaction") or self._accept_keyword("work")
-        return ast.RollbackStatement()
+    def _parse_transaction(self) -> ast.Statement:
+        """BEGIN / COMMIT / ROLLBACK [TRANSACTION | WORK]."""
+        word = self._advance().text
+        self._accept_keyword("transaction", "work")
+        return _TRANSACTION_STATEMENTS[word]()
 
     def _parse_set(self) -> ast.SetStatement:
         """``SET <name> = <value>`` / ``SET <name> TO <value>``."""
@@ -815,20 +816,11 @@ class Parser:
         name = self._expect_name()
         if not self._accept_operator("="):
             token = self._peek()
-            if (
-                token.type in (TokenType.IDENT, TokenType.KEYWORD)
-                and token.text.lower() == "to"
-            ):
-                self._advance()
-            else:
+            if token.type not in _WORDS or token.text.lower() != "to":
                 raise ParseError(f"expected = or TO, found {token!r}")
+            self._advance()
         token = self._peek()
-        if token.type in (
-            TokenType.IDENT,
-            TokenType.KEYWORD,
-            TokenType.STRING,
-            TokenType.NUMBER,
-        ):
+        if token.type in _WORDS or token.type in (TokenType.STRING, TokenType.NUMBER):
             self._advance()
             return ast.SetStatement(name=name, value=token.text)
         raise ParseError(f"expected a value, found {token!r}")
@@ -840,12 +832,80 @@ class Parser:
             raise ParseError(f"unexpected trailing input: {token!r}")
 
 
+def number_value(text: str) -> int | float:
+    """A NUMBER token's value: a float if it has a point or an exponent."""
+    if "." in text or "e" in text or "E" in text:
+        return float(text)
+    return int(text)
+
+
+#: Templates :func:`parse_statement` keeps, least recently used out first.
+#: An entry is a pure function of the text, so nothing invalidates it.
+TEMPLATE_CACHE_CAPACITY = 512
+_templates: OrderedDict[str, tuple[tuple, ast.Statement]] = OrderedDict()
+_templates_lock = threading.Lock()
+
+
 def parse_statement(text: str) -> ast.Statement:
-    """Parse exactly one statement (trailing semicolon allowed)."""
+    """Parse exactly one statement (trailing semicolon allowed).
+
+    A text whose template was parsed before gets a copy of that AST with
+    its own constants in the literal slots. A constant that became no
+    Literal of its own (LIMIT, a type length, a COPY source) is *pinned*:
+    a text with another value there parses cold. Only successful parses
+    are kept; ``Parser(text).parse_statement()`` is the uncached reference.
+    """
+    key, constants = template(text)
+    with _templates_lock:
+        entry = _templates.get(key)
+        if entry is not None:
+            _templates.move_to_end(key)
+    if entry is not None:
+        pinned, cached = entry
+        if all(constants[i] == value for i, value in pinned):
+            return _copy(cached, constants, {})
     parser = Parser(text)
     statement = parser.parse_statement()
     parser.expect_eof()
+    copies: dict[int, object] = {}
+    cached = _copy(statement, constants, copies)
+    slots = {node.param for node in copies.values() if type(node) is ast.Literal}
+    pinned = tuple((i, v) for i, v in constants.items() if i not in slots)
+    with _templates_lock:
+        _templates[key] = (pinned, cached)
+        if len(_templates) > TEMPLATE_CACHE_CAPACITY:
+            _templates.popitem(last=False)
     return statement
+
+
+_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _copy(value, constants: dict[int, str], copies: dict[int, object]):
+    """A structural copy of an AST value whose literal slots read
+    *constants*. *copies* maps each copied node's id to its copy, so a
+    node the tree shares (a simple CASE's subject) stays shared."""
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is list:
+        return [_copy(item, constants, copies) for item in value]
+    if kind is tuple:
+        return tuple([_copy(item, constants, copies) for item in value])
+    if kind is dict:
+        return {k: _copy(item, constants, copies) for k, item in value.items()}
+    if not isinstance(value, ast.Node):
+        return value  # an enum member
+    copied = copies.get(id(value))
+    if copied is None:
+        copied = copies[id(value)] = object.__new__(kind)
+        fields = copied.__dict__
+        for name, item in value.__dict__.items():
+            fields[name] = _copy(item, constants, copies)
+        if kind is ast.Literal and value.param is not None:
+            text = constants[value.param]
+            fields["value"] = text if type(value.value) is str else number_value(text)
+    return copied
 
 
 def parse_statements(text: str) -> list[ast.Statement]:

@@ -11,6 +11,7 @@ executions of the same cached query.
 from __future__ import annotations
 
 import hashlib
+import sys
 import threading
 import uuid
 
@@ -21,6 +22,7 @@ from repro.engine.resultcache import QueryResultCache
 from repro.engine.transactions import BOOTSTRAP_XID, TransactionManager
 from repro.exec import segmentcache
 from repro.exec.batch import KERNEL_CACHE
+from repro.server import ClusterServer
 from repro.systables.store import SystemEventStore
 
 THREADS = 16
@@ -289,3 +291,42 @@ class TestTransactionManagerUnderConcurrency:
         assert len(committed) == len(set(committed)) == THREADS * 50
         assert all(manager.is_committed(xid) for xid in committed)
         assert manager.active_count == 0
+
+
+class TestStatementTemplates:
+    def test_sessions_sharing_a_template_keep_their_own_constants(self):
+        """Four server sessions run one template 300 times each, each
+        with its own constants: every answer matches its own text, so a
+        template hit hands each session its own copy of the AST."""
+        cluster = Cluster(node_count=1, slices_per_node=2, block_capacity=64)
+        setup = cluster.connect()
+        setup.execute("CREATE TABLE t (k int)")
+        setup.execute("INSERT INTO t VALUES " + ",".join(f"({i})" for i in range(100)))
+        server = ClusterServer(cluster)
+        handles = [server.open_session() for _ in range(4)]
+        barrier = threading.Barrier(len(handles))
+        wrong: list[tuple] = []
+
+        def client(n: int) -> None:
+            barrier.wait()
+            for i in range(300):
+                low = (n * 17 + i) % 60
+                high = low + n + 1 + i % 30
+                tag = n * 1000 + i
+                sql = (
+                    f"SELECT count(*), min(k), {tag} FROM t "
+                    f"WHERE k >= {low} AND k < {high}"
+                )
+                got = handles[n].execute(sql).rows
+                if got != [(high - low, low, tag)]:
+                    wrong.append((sql, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the parse
+        try:
+            run_all([threading.Thread(target=client, args=(n,)) for n in range(4)])
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            cluster.close()
+        assert wrong == []

@@ -51,6 +51,7 @@ LAYERS = {
         "workers.busy_share",
         "workers.leader_merge_us_p50",
         "workers.cpu_ms_per_stmt",
+        "sql.parse_us_p50",
     ),
     "mixed_etl": (
         "engine.delete_ms_p50",
@@ -58,6 +59,7 @@ LAYERS = {
         "engine.insert_ms_p50",
         "storage.blocks_skipped_ratio",
         "exec.segment_cache_hit_ratio",
+        "sql.parse_us_p50",
     ),
     "dashboard_repeat": (
         "engine.hit_us_p50",
