@@ -64,11 +64,12 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
-_TRIVIA, _NUMBER, _WORD, _STRING, _QUOTED, _OPEN_COMMENT, _OPERATOR = range(1, 8)
+(_TRIVIA, _NUMBER, _WORD, _STRING, _QUOTED, _OPEN_COMMENT, _OPERATOR,
+ _OPEN_STRING, _OPEN_QUOTED) = range(1, 10)
 _ERRORS = {
     _OPEN_COMMENT: "unterminated block comment",
-    8: "unterminated string literal",
-    9: "unterminated quoted identifier",
+    _OPEN_STRING: "unterminated string literal",
+    _OPEN_QUOTED: "unterminated quoted identifier",
 }
 
 
@@ -104,8 +105,8 @@ def tokenize(text: str) -> list[Token]:
         column = start - line_start + 1
         if kind == _WORD:
             word = raw.lower()
-            kind_type = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind_type, word, line, column))
+            token_type = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(token_type, word, line, column))
         elif kind == _NUMBER or kind == _OPERATOR:
             tokens.append(Token(_TYPES[kind], raw, line, column))
         elif kind == _STRING or kind == _QUOTED:

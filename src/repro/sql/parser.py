@@ -901,7 +901,9 @@ def _copy(value, constants: dict[int, str], copies: dict[int, object]):
         copied = copies[id(value)] = object.__new__(kind)
         fields = copied.__dict__
         for name, item in value.__dict__.items():
-            fields[name] = _copy(item, constants, copies)
+            fields[name] = (
+                item if type(item) in _ATOMS else _copy(item, constants, copies)
+            )
         if kind is ast.Literal and value.param is not None:
             text = constants[value.param]
             fields["value"] = text if type(value.value) is str else number_value(text)
