@@ -48,7 +48,7 @@ from repro.exec.context import (
 )
 from repro.exec.spill import MemoryBudget
 from repro.exec.parallel import ParallelExecutor
-from repro.exec.scan import ROW_OFFSET, scan_batches
+from repro.exec.scan import HLL_CODES, ROW_OFFSET, scan_batches
 from repro.exec.vectorized import VectorizedExecutor
 from repro.exec.volcano import VolcanoExecutor, scan_column_names
 from repro.plan.binder import Binder
@@ -357,8 +357,6 @@ class Session:
                 systables.record_scan_encoding(query_id, stats.scan.encoding)
             if stats.slice_exec:
                 systables.record_slice_exec(query_id, stats.slice_exec)
-            if stats.spill_events:
-                systables.record_query_spill(query_id, stats.spill_events)
 
     def _run_statement(self, statement: ast.Statement, memo) -> QueryResult:
         """Transaction control, SET and plain EXPLAIN run as they are;
@@ -370,18 +368,16 @@ class Session:
                 raise TransactionError("a transaction is already in progress")
             self._xid = self._cluster.transactions.begin()
             return QueryResult(command="BEGIN")
-        if isinstance(statement, ast.CommitStatement):
+        if isinstance(statement, (ast.CommitStatement, ast.RollbackStatement)):
             if self._xid is None:
                 raise TransactionError("no transaction in progress")
-            self._cluster.transactions.commit(self._xid)
-            self._xid = None
-            return QueryResult(command="COMMIT")
-        if isinstance(statement, ast.RollbackStatement):
-            if self._xid is None:
-                raise TransactionError("no transaction in progress")
-            self._cluster.transactions.rollback(self._xid)
-            self._xid = None
-            return QueryResult(command="ROLLBACK")
+            commit = isinstance(statement, ast.CommitStatement)
+            transactions = self._cluster.transactions
+            try:  # a COMMIT that loses a conflict aborts the xid too
+                (transactions.commit if commit else transactions.rollback)(self._xid)
+            finally:
+                self._xid = None
+            return QueryResult(command="COMMIT" if commit else "ROLLBACK")
         if isinstance(statement, ast.SetStatement):
             return self._set_parameter(statement)
         if isinstance(statement, ast.ExplainStatement):
@@ -1197,32 +1193,42 @@ class Session:
         under the statement's snapshot, so the writing transaction's own
         rows count, over vectors the decode cache holds.
 
-        Each column keeps the set of its visible values: HLL registers,
-        min and max are idempotent, and values Python holds equal hash
-        alike, so hashing each distinct value once is exact."""
+        Each column keeps the set of its visible rows' HLL codes, which
+        each sealed block computes once; values Python holds equal hash
+        alike, so folding the codes is exact. ``low`` and ``high`` fold
+        each batch's distinct values with strict comparisons, so the first
+        of equal values in scan order stays (``0.0`` vs ``-0.0``)."""
         stats = TableStatistics(
             stale=False, total_bytes=self._cluster.table_bytes(table.name)
         )
         names = table.column_names
-        distinct: list[set] = [set() for _ in names]
-        nulls = [0] * len(names)
+        width = len(names)
+        lows, highs, nulls = [None] * width, [None] * width, [0] * width
+        coded: list[set] = [set() for _ in names]
         snapshot = self._cluster.transactions.snapshot(xid)
         for _, batch in self._cluster.scan_table(
-            table, snapshot, one_replica=True, block_cache=self._cluster.block_cache
+            table, snapshot, [*names, *(HLL_CODES + name for name in names)],
+            one_replica=True, block_cache=self._cluster.block_cache, hll_memo={},
         ):
             stats.row_count += batch.count
-            for i, values in enumerate(batch.columns):
+            for i, values in enumerate(batch.columns[:width]):
                 nulls[i] += values.count(None)
-                distinct[i].update(values)
-        for name, values, null_count in zip(names, distinct, nulls):
-            values.discard(None)
+                present = set(values)
+                present.discard(None)
+                if present:
+                    low, high = min(present), max(present)
+                    if lows[i] is None or low < lows[i]:
+                        lows[i] = low
+                    if highs[i] is None or high > highs[i]:
+                        highs[i] = high
+            for i, codes in enumerate(batch.columns[width:]):
+                coded[i].update(codes)
+        for i, name in enumerate(names):
             stats.columns[name] = ColumnStatistics(
-                low=min(values, default=None),
-                high=max(values, default=None),
-                null_fraction=(
-                    null_count / stats.row_count if stats.row_count else 0.0
-                ),
-                distinct_count=HyperLogLog(10).update(values).cardinality(),
+                low=lows[i],
+                high=highs[i],
+                null_fraction=nulls[i] / stats.row_count if stats.row_count else 0.0,
+                distinct_count=HyperLogLog.from_codes(coded[i]).cardinality(),
             )
         table.statistics = stats
 

@@ -115,7 +115,7 @@ class QueryStats:
     #: (feeds stv_slice_exec).
     slice_exec: list["SliceExec"] = field(default_factory=list)
     #: Spill totals across operators (svl_query_summary columns) and the
-    #: per-operator/per-disk breakdown (feeds stv_query_spill).
+    #: per-operator/per-disk breakdown.
     spilled_bytes: int = 0
     spill_partitions: int = 0
     spill_events: list["SpillEvent"] = field(default_factory=list)
@@ -127,7 +127,7 @@ class QueryStats:
 
 @dataclass
 class SpillEvent:
-    """One operator's spill activity on one disk (stv_query_spill row)."""
+    """One operator's spill activity on one disk."""
 
     step: int
     operator: str

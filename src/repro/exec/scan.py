@@ -29,12 +29,17 @@ from repro.exec.encoded import (
     EncodedColumn,
     supports_block,
 )
+from repro.sql.hll import codes as hll_codes
 from repro.storage.chain import ScanStats
 from repro.storage.slicestore import ShardVersion, TableShard
 
 #: Pseudo-column name: its vector is each row's offset in the shard — the
 #: one thing DML needs (*which* row) that no chain stores.
 ROW_OFFSET = "<row offset>"
+#: Pseudo-column prefix: ``HLL_CODES + name``'s vector is each row's
+#: HyperLogLog code for column *name* (:func:`repro.sql.hll.codes`),
+#: computed once per sealed block and kept on it.
+HLL_CODES = "<hll codes>"
 
 
 def scan_blocks(
@@ -52,6 +57,7 @@ def scan_blocks(
     block_cache=None,
     encoded: bool = False,
     recover=lambda op, again=None: op(),
+    hll_memo: dict | None = None,
 ) -> Iterator[tuple[list, list[int] | None, int]]:
     """Yield ``(columns, selection, count)`` per surviving row block.
 
@@ -59,7 +65,9 @@ def scan_blocks(
     ``None`` name is a dead column: its chain is never read and its slot
     stays None — the projection pushdown a columnar engine exists for
     (only live chains cost IO); :data:`ROW_OFFSET` costs none either: its
-    vector is the block's ``range`` of shard row offsets. ``selection`` is
+    vector is the block's ``range`` of shard row offsets. An
+    :data:`HLL_CODES` column codes its value column, decoded in the same
+    scan, through *hll_memo*'s value -> code map per name. ``selection`` is
     None when all ``count`` rows are visible to *snapshot*, else the
     sorted positions that are; blocks with no visible row are not
     yielded. Vectors are shared with the decode cache — callers must not
@@ -104,10 +112,18 @@ def scan_blocks(
     if version is None:
         version = shard.version
     xids = (version.insert_xids, version.delete_xids)
+    memos = {} if hll_memo is None else hll_memo
+    coded = {  # position -> (its value column's position, memo)
+        position: (
+            column_names.index(name[len(HLL_CODES):]), memos.setdefault(name, {})
+        )
+        for position, name in enumerate(column_names)
+        if name is not None and name.startswith(HLL_CODES)
+    }
     live = {
         position: name
         for position, name in enumerate(column_names)
-        if name is not None and name != ROW_OFFSET
+        if name is not None and name != ROW_OFFSET and position not in coded
     }
     offset_slots = [i for i, name in enumerate(column_names) if name == ROW_OFFSET]
     lead = version.lead_blocks
@@ -178,6 +194,11 @@ def scan_blocks(
             if not hit and charge is not None:
                 recover(lambda: charge(block.encoded_bytes))
             columns[position] = values
+        for position, (source, memo) in coded.items():
+            block = sealed[source][k]
+            if block.hll_codes is None:
+                block.hll_codes = hll_codes(columns[source], memo)
+            columns[position] = block.hll_codes
         for position in offset_slots:
             columns[position] = range(offset, offset + row_count)
         selection = _selection(xids, offset, row_count, snapshot)
@@ -194,6 +215,8 @@ def scan_blocks(
         columns = [None] * width
         for position, name in live.items():
             columns[position] = version.columns[name][1][:tail_count]
+        for position, (source, memo) in coded.items():
+            columns[position] = hll_codes(columns[source], memo)
         for position in offset_slots:
             columns[position] = range(offset, offset + tail_count)
         yield columns, selection, tail_count
@@ -290,15 +313,11 @@ def _selection(
 def _block_fully_visible(
     inserted: list[int], deleted: list[int | None], snapshot: Snapshot
 ) -> bool:
-    """True when every row is visible to *snapshot*.
-
-    Checked via the distinct inserter set (typically one xid per block)
-    rather than per row, so the common no-deletes case stays O(1)-ish.
-    """
-    for dele in deleted:
-        if dele is not None:
-            return False
-    for ins in set(inserted):
-        if not snapshot.can_see(ins, None):
-            return False
-    return True
+    """True when no row has a tombstone and *snapshot* sees every
+    inserter: checked at C speed, with one ``can_see`` call when one xid
+    inserted the block (the common case), else one per inserter."""
+    if deleted.count(None) != len(deleted):
+        return False
+    if inserted and inserted.count(inserted[0]) == len(inserted):
+        return snapshot.can_see(inserted[0], None)
+    return all(snapshot.can_see(ins, None) for ins in set(inserted))

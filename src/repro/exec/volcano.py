@@ -191,7 +191,7 @@ class VolcanoExecutor:
 
     def _note_spill(self, node: PhysicalNode, spilled, disk_id: str) -> None:
         """Fold one structure's spill counters into the operator stat,
-        the query totals and the stv_query_spill event list."""
+        the query totals and the spill event list."""
         if spilled is None or not spilled.spilled:
             return
         stats = self._ctx.stats

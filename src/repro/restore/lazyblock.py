@@ -21,6 +21,8 @@ class LazyBlock:
     """Duck-typed :class:`~repro.storage.block.Block` that faults in its
     payload on demand."""
 
+    hll_codes = None  # per-row HyperLogLog codes, as on a Block
+
     def __init__(
         self,
         block_id: str,

@@ -10,12 +10,18 @@ aggregate distributes), with relative error ≈ 1.04/sqrt(2**precision).
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from array import array
+from itertools import repeat
+from operator import and_, rshift
+from typing import Iterable, Sequence
 
 from repro.distribution.hashing import stable_hash
 
 
 _MASK64 = (1 << 64) - 1
+#: The optimizer-statistics sketch's precision: its codes fit 16 bits.
+CODE_PRECISION = 10
+RANK_BITS = 6
 
 
 def _mix(h: int) -> int:
@@ -24,6 +30,27 @@ def _mix(h: int) -> int:
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     h = (h ^ (h >> 27)) * 0x94D049BB133111EB & _MASK64
     return h ^ (h >> 31)
+
+
+def _code(value: object, precision: int) -> int:
+    """The register *value* sets at *precision*, ``index << RANK_BITS |
+    rank``: the hash's low p bits, and the position of the first set bit
+    in the other 64-p (at most 65 - p < 64)."""
+    h = _mix(stable_hash(value))
+    remainder = h >> precision
+    rank = (remainder & -remainder).bit_length() if remainder else 65 - precision
+    return (h & ((1 << precision) - 1)) << RANK_BITS | rank
+
+
+def codes(values: Sequence[object], memo: dict) -> array:
+    """Each value's :func:`_code` at :data:`CODE_PRECISION`, NULL's 0 (no
+    rank is 0). *memo* maps values to codes and gains those it lacked, so
+    each distinct value is hashed once."""
+    memo.setdefault(None, 0)
+    for value in set(values).difference(memo):
+        memo[value] = _code(value, CODE_PRECISION)
+    # array() takes a list faster than an iterator.
+    return array("H", list(map(memo.__getitem__, values)))
 
 
 class HyperLogLog:
@@ -49,15 +76,23 @@ class HyperLogLog:
     def update(self, values: Iterable[object]) -> "HyperLogLog":
         """Add every value of *values* — the registers :meth:`add` sets one
         value at a time, so a set of distinct values gives what its rows do."""
-        registers, mask, p = self._registers, self._m - 1, self.precision
+        registers, p = self._registers, self.precision
         for value in values:
-            h = _mix(stable_hash(value))
-            # Rank: position of the first set bit in the remaining 64-p bits.
-            remainder = h >> p
-            rank = (remainder & -remainder).bit_length() if remainder else 65 - p
-            if rank > registers[h & mask]:
-                registers[h & mask] = rank
+            index, rank = divmod(_code(value, p), 1 << RANK_BITS)
+            if rank > registers[index]:
+                registers[index] = rank
         return self
+
+    @classmethod
+    def from_codes(cls, coded: set[int]) -> "HyperLogLog":
+        """The sketch of the values whose :func:`codes` *coded* holds:
+        sorted, each index's last code has its highest rank."""
+        sketch, ordered = cls(CODE_PRECISION), sorted(coded)
+        indexes = map(rshift, ordered, repeat(RANK_BITS))
+        ranks = map(and_, ordered, repeat((1 << RANK_BITS) - 1))
+        for index, rank in dict(zip(indexes, ranks)).items():
+            sketch._registers[index] = rank
+        return sketch
 
     def merge(self, other: "HyperLogLog") -> "HyperLogLog":
         """Merge another sketch into this one (register-wise max)."""

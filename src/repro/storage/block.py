@@ -81,6 +81,9 @@ class Block:
     #: The shard whose chain holds the block, set by that chain (None
     #: outside any shard): corrupt() moves its version.
     owner: object = field(default=None, repr=False, compare=False)
+    #: Each row's HyperLogLog code (an ``array``, set by the first refresh
+    #: that reads it): derived, so outside size, checksum and serialize().
+    hll_codes: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def build(

@@ -17,8 +17,6 @@ and executors call, and materializes rows on demand:
   computed live from the attached injector.
 - ``stv_slice_exec`` — per-slice worker accounting of the most recent
   parallel-executor query (snapshot: replaced each parallel run).
-- ``stv_query_spill`` — per-operator spill activity of the most recent
-  memory-governed query that spilled (snapshot: replaced per such query).
 - ``svl_scan_encoding`` — per-codec operate-on-compressed counters of the
   most recent encoded scan (snapshot: replaced per such query).
 - ``stv_sessions`` — one row per live server session, computed live from
@@ -123,15 +121,6 @@ SYSTEM_TABLE_COLUMNS: dict[str, list[tuple[str, object]]] = {
         ("ndv", BIGINT),
         ("null_fraction", DOUBLE),
     ],
-    "stv_query_spill": [
-        ("query", INTEGER),
-        ("step", INTEGER),
-        ("operator", varchar_type(128)),
-        ("disk", varchar_type(64)),
-        ("partitions", INTEGER),
-        ("bytes_written", BIGINT),
-        ("bytes_read", BIGINT),
-    ],
     "svl_scan_encoding": [
         ("query", INTEGER),
         ("encoding", varchar_type(32)),
@@ -221,7 +210,6 @@ _STORED_TABLES = frozenset(
         "stv_wlm_query_state",
         "stl_wlm_rule_action",
         "stv_slice_exec",
-        "stv_query_spill",
         "svl_scan_encoding",
         "stl_connection_log",
     )
@@ -422,26 +410,6 @@ class SystemTables:
                     s.crashes,
                 )
                 for s in slice_execs
-            ],
-        )
-
-    def record_query_spill(self, query_id: int, events) -> None:
-        """Snapshot the per-operator spill activity of the latest
-        spilling query (stv_query_spill; *events* are
-        :class:`repro.exec.context.SpillEvent` objects)."""
-        self.store.replace(
-            "stv_query_spill",
-            [
-                (
-                    query_id,
-                    e.step,
-                    e.operator,
-                    e.disk_id,
-                    e.partitions,
-                    e.bytes_written,
-                    e.bytes_read,
-                )
-                for e in events
             ],
         )
 

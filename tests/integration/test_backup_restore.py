@@ -149,6 +149,20 @@ class TestStreamingRestore:
         # (Forked parallel workers fault blocks in on their side.)
         assert result.faulted_blocks < result.total_blocks / 2
 
+    def test_analyze_codes_lazy_blocks(self, backed_up):
+        """A refresh over restored, still-remote blocks codes them like
+        any other block and agrees with the source's statistics; the
+        source's codes never travelled with the snapshot."""
+        cluster, _, backups, env = backed_up
+        backups.snapshot("user", label="s1")
+        result = RestoreManager(env.s3, "bkt", env.clock).streaming_restore("s1")
+        blocks = result.cluster.slice_stores[0].shard("sales").chain("id").blocks
+        assert blocks and all(b.hll_codes is None for b in blocks)
+        result.cluster.connect().execute("ANALYZE sales")
+        assert all(len(b.hll_codes) == b.count for b in blocks)
+        restored = result.cluster.catalog.table("sales").statistics
+        assert restored.columns == cluster.catalog.table("sales").statistics.columns
+
     def test_background_fetch_completes(self, backed_up):
         _, _, backups, env = backed_up
         backups.snapshot("user", label="s1")

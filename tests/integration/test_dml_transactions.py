@@ -172,6 +172,53 @@ class TestTransactions:
         with pytest.raises(SerializationError):
             b.execute("COMMIT")
 
+    def test_lost_commit_conflict_ends_the_transaction(self, cluster):
+        """A COMMIT that loses a conflict aborts its transaction and
+        leaves the session outside it: the next BEGIN ... COMMIT runs."""
+        setup = cluster.connect()
+        setup.execute("CREATE TABLE t (a int)")
+        setup.execute("INSERT INTO t VALUES (1), (2)")
+        a = cluster.connect()
+        b = cluster.connect()
+        a.execute("BEGIN")
+        b.execute("BEGIN")
+        a.execute("DELETE FROM t WHERE a = 1")
+        b.execute("DELETE FROM t WHERE a = 1")
+        a.execute("COMMIT")
+        with pytest.raises(SerializationError):
+            b.execute("COMMIT")
+        with pytest.raises(TransactionError, match="no transaction in progress"):
+            b.execute("ROLLBACK")
+        b.execute("BEGIN")
+        assert b.execute("SELECT a FROM t").rows == [(2,)]
+        b.execute("COMMIT")
+        assert cluster.transactions.active_count == 0
+
+    def test_server_client_keeps_its_connection_after_a_lost_conflict(
+        self, cluster
+    ):
+        from repro.server import ClusterServer
+
+        server = ClusterServer(cluster)
+        try:
+            setup = server.open_session()
+            setup.execute("CREATE TABLE t (a int)")
+            setup.execute("INSERT INTO t VALUES (1), (2)")
+            a, b = server.open_session(), server.open_session()
+            a.execute("BEGIN")
+            b.execute("BEGIN")
+            a.execute("DELETE FROM t WHERE a = 2")
+            b.execute("DELETE FROM t WHERE a = 2")
+            a.execute("COMMIT")
+            with pytest.raises(SerializationError):
+                b.execute("COMMIT")
+            b.execute("BEGIN")
+            assert b.execute("SELECT count(*) FROM t").scalar() == 1
+            b.execute("COMMIT")
+            assert b.execute("SELECT a FROM t").rows == [(1,)]
+        finally:
+            server.shutdown()
+
     def test_nested_begin_rejected(self, session):
         session.execute("BEGIN")
         with pytest.raises(TransactionError):

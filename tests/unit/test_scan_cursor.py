@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import INTEGER
 from repro.engine.transactions import Snapshot
-from repro.exec.scan import ROW_OFFSET, scan_batches, scan_rows
+from repro.exec.scan import (
+    ROW_OFFSET,
+    _block_fully_visible,
+    _selection,
+    scan_batches,
+    scan_rows,
+)
 from repro.storage import ScanStats, SimulatedDisk, TableShard
 
 COUNTERS = (
@@ -208,3 +214,38 @@ def test_zone_scan_is_a_superset_of_matches(values, capacity):
     }
     expected = {i for i, v in enumerate(values) if v == literal}
     assert expected <= got  # conservative: may include extras, never misses
+
+
+# ---- block visibility ---------------------------------------------------------------
+
+#: Sees xids 1 and 2; 3 is in flight, 4 aborted, 10 beyond xmax.
+VISIBILITY = Snapshot(
+    xid=9, xmax=6, in_flight=frozenset({3}), aborted=frozenset({4})
+)
+BLOCKS = {
+    "clean": ([1] * 6, [None] * 6),
+    "tombstone on the first row": ([1] * 6, [2] + [None] * 5),
+    "tombstone on the last row": ([1] * 6, [None] * 5 + [2]),
+    "aborted tombstone": ([1] * 6, [None, 4] + [None] * 4),
+    "one in-flight inserter": ([3] * 6, [None] * 6),
+    "mixed inserters, one aborted": ([1, 2, 4, 1, 2, 1], [None] * 6),
+    "mixed inserters, one in flight": ([1, 3, 1, 9, 2, 10], [None] * 6),
+    "mixed inserters, all visible": ([1, 2, 9, 1, 2, 9], [None] * 6),
+    "empty tail": ([], []),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+def test_block_visibility_follows_the_per_row_rule(name):
+    inserted, deleted = BLOCKS[name]
+    per_row = [
+        i for i, (ins, dele) in enumerate(zip(inserted, deleted))
+        if VISIBILITY.can_see(ins, dele)
+    ]
+    selection = _selection((inserted, deleted), 0, len(inserted), VISIBILITY)
+    assert (list(range(len(inserted))) if selection is None else selection) == per_row
+    fully = _block_fully_visible(inserted, deleted, VISIBILITY)
+    if all(dele is None for dele in deleted):
+        assert fully == (len(per_row) == len(inserted))
+    else:
+        assert not fully

@@ -87,6 +87,19 @@ def run(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
         return json.loads(out.read_text())
 
 
+def cpu_model() -> str:
+    """The ``model name`` line of ``/proc/cpuinfo`` (Linux), else the
+    platform's processor string."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def commit_of(checkout: Path) -> str:
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
@@ -143,6 +156,8 @@ def main(argv=None) -> int:
     point = {
         "stamp": {
             "cpu_count": os.cpu_count(),
+            "cpu_model": cpu_model(),
+            "cpu_affinity": sorted(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "platform": platform.platform(),
             "parent": commit_of(args.parent),
