@@ -17,6 +17,7 @@ Two acceptance scenarios from the concurrent-server work:
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
@@ -98,6 +99,10 @@ class TestRoundTrip:
         # 4x pacing finishes in roughly a quarter of the trace span;
         # allow slack for scheduling, but it must beat the 1x span.
         target = prepared_cluster()
+        # Collect first: a full collection over the heap earlier tests
+        # left behind pauses 45-110 ms, and landing inside this ~20 ms
+        # replay it would be timed as replay.
+        gc.collect()
         report = replay(captured, target, speedup=4.0)
         assert report.wall_s < max(captured.duration_s, 0.05) * 1.5
 
